@@ -24,10 +24,8 @@ fn bench_system(c: &mut Criterion) {
             });
         });
     }
-    // The 4-channel memory-bound variant: the configuration where
-    // per-channel lane parallelism (QPRAC_CHANNEL_THREADS) has work to
-    // spread. Inherits the env default, so the same bench binary
-    // measures sequential and threaded execution.
+    // The 4-channel memory-bound variant: four controller lanes
+    // advance every memory cycle, so per-lane cost shows up here first.
     let spec = WorkloadSpec::by_name("ycsb/a_like").unwrap();
     g.bench_function("memory_bound_4ch_10k_instr", |b| {
         b.iter(|| {

@@ -13,9 +13,9 @@
 //!   [`qprac_serve::ShardMap`] assigns every key to exactly one shard,
 //!   so cluster-wide single-flight and cache locality hold with zero
 //!   coordination. Per shard, the full fault stack applies — deadlines,
-//!   jittered retry, a circuit breaker — and a shard whose ladder is
-//!   exhausted is marked down in a shared table: only *its* keys
-//!   degrade to the local pool until a `HEALTH` probe readmits it.
+//!   jittered retry, one shared health state — and a shard that keeps
+//!   failing is marked down: only *its* keys degrade to the local pool
+//!   until a `HEALTH` probe readmits it.
 //!   `Engine` cells wrap local closures and always run locally.
 //!
 //! Identical cells shared by several figures — e.g. the unmitigated
@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sim::{RunCache, RunKey};
@@ -108,10 +108,8 @@ pub struct FaultStats {
     /// Re-driven attempts after a retryable failure (per attempt, not
     /// per cell).
     pub retries: AtomicU64,
-    /// Circuit-breaker open events (including half-open probes that
-    /// failed and re-opened).
-    pub breaker_opens: AtomicU64,
-    /// Shards marked down after an exhausted ladder (their keys degrade
+    /// Shards marked down, after [`RemoteExecutor::BREAKER_THRESHOLD`]
+    /// consecutive failures or an exhausted ladder (their keys degrade
     /// to the local pool until a `HEALTH` probe readmits them).
     pub shard_downs: AtomicU64,
     /// Down shards readmitted by a successful `HEALTH` probe.
@@ -127,47 +125,38 @@ impl FaultStats {
     /// The `remote-fault:` one-liner, or `None` when nothing went wrong
     /// (the common case — silence is the healthy signal).
     pub fn summary(&self) -> Option<String> {
-        let (r, b, d, v, l) = (
+        let (r, d, v, l) = (
             self.retries.load(Ordering::Relaxed),
-            self.breaker_opens.load(Ordering::Relaxed),
             self.shard_downs.load(Ordering::Relaxed),
             self.shard_recoveries.load(Ordering::Relaxed),
             self.local_fallbacks.load(Ordering::Relaxed),
         );
-        if r + b + d + v + l == 0 {
+        if r + d + v + l == 0 {
             return None;
         }
         Some(format!(
-            "remote-fault: retries={r} breaker-opens={b} shard-downs={d} shard-recoveries={v} local-fallbacks={l}"
+            "remote-fault: retries={r} shard-downs={d} shard-recoveries={v} local-fallbacks={l}"
         ))
     }
 }
 
-/// Per-shard health as seen by one pool worker: the cached pipelined
-/// connection plus the circuit-breaker bookkeeping. Worker-local (no
-/// cross-thread sharing) so a slow shard discovered by one worker
-/// never serializes the others behind a lock.
-#[derive(Default)]
-struct ReplicaState {
-    client: Option<qprac_serve::Client>,
-    /// Consecutive failures; reset on any success.
-    fails: u32,
-    /// `Some(t)` = breaker open until `t`; after `t` the next pick is a
-    /// half-open probe (success closes it, failure re-opens).
-    open_until: Option<Instant>,
-}
-
-impl ReplicaState {
-    fn available(&self, now: Instant) -> bool {
-        self.open_until.is_none_or(|t| now >= t)
-    }
+/// One shard's health, shared by every pool worker of an executor.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ShardHealth {
+    /// Retryable failures since the shard last answered, counted across
+    /// all workers.
+    consecutive_fails: u32,
+    /// `Some(t)` = down until `t`: its keys fail fast to the local pool,
+    /// and after `t` one `HEALTH` probe decides readmission.
+    down_until: Option<Instant>,
 }
 
 std::thread_local! {
-    /// Per-worker shard-health table, keyed by address (worker threads are
-    /// fresh per `parallel` call, but the executor may also run on a
-    /// caller's long-lived thread).
-    static REPLICAS: std::cell::RefCell<HashMap<String, ReplicaState>> =
+    /// Each pool worker's cached connection per shard address:
+    /// connections carry one request at a time, so they are per worker
+    /// by design (worker threads are fresh per `parallel` call, but the
+    /// executor may also run on a caller's long-lived thread).
+    static CLIENTS: std::cell::RefCell<HashMap<String, qprac_serve::Client>> =
         std::cell::RefCell::new(HashMap::new());
 }
 
@@ -191,18 +180,17 @@ std::thread_local! {
 ///   jittered exponential backoff, deterministic per cell (seeded from
 ///   [`RunKey::hash`]) — retries never rotate to another shard, which
 ///   would break affinity;
-/// - a per-worker circuit breaker opens after
-///   [`Self::BREAKER_THRESHOLD`] consecutive failures and half-open
-///   probes after a cooldown, so a dead shard stops eating timeouts;
-/// - a cell that exhausts its shard's ladder marks that shard **down**
-///   in a table shared across the executor: further keys owned by the
-///   shard degrade straight to the local pool (no timeout burn) until
-///   a post-cooldown `HEALTH` probe readmits it. Other shards' keys
-///   are untouched — a one-shard outage degrades 1/N of the keyspace,
-///   not the cluster.
+/// - one health entry per shard, shared by every pool worker, marks
+///   the shard **down** after [`Self::BREAKER_THRESHOLD`] consecutive
+///   retryable failures across all workers, or when a cell exhausts
+///   its ladder. While down, the shard's keys degrade straight to the
+///   local pool (no timeout burn); the only way back up is a
+///   post-cooldown `HEALTH` probe, which resets the entry for every
+///   worker. Other shards' keys are untouched — a one-shard outage
+///   degrades 1/N of the keyspace, not the cluster.
 /// - authoritative server errors (the daemon *answered*: unknown
-///   workload, version skew) skip both the ladder and the down table —
-///   the same key fails the same way everywhere.
+///   workload, version skew) skip both the ladder and the health
+///   count — the same key fails the same way everywhere.
 ///
 /// Retrying is safe by design: the protocol is key-only and
 /// idempotent, so at-least-once delivery can only cost duplicate work
@@ -219,17 +207,17 @@ pub struct RemoteExecutor {
     policy: qprac_serve::RetryPolicy,
     cooldown: Duration,
     stats: Arc<FaultStats>,
-    /// Shard-down table: shard index → down until. Shared across clones
-    /// (all pool workers), so one exhausted ladder spares every other
-    /// worker the same timeouts.
-    down: Arc<std::sync::Mutex<HashMap<usize, Instant>>>,
+    /// Health per shard index, shared across clones (all pool workers),
+    /// so one worker's failures spare every other worker the same
+    /// timeouts.
+    health: Arc<Mutex<Vec<ShardHealth>>>,
 }
 
 impl RemoteExecutor {
-    /// Consecutive failures before a worker's breaker opens for a
-    /// shard.
+    /// Consecutive retryable failures, across all workers, that take a
+    /// shard down.
     pub const BREAKER_THRESHOLD: u32 = 3;
-    /// Default breaker cooldown before the half-open probe.
+    /// Default down cooldown before the `HEALTH` probe.
     pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(1_000);
 
     /// Build from a comma-separated shard list (`host:port[,...]`;
@@ -238,13 +226,13 @@ impl RemoteExecutor {
     pub fn new(addrs: &str) -> RemoteExecutor {
         let map = qprac_serve::ShardMap::from_list(addrs);
         RemoteExecutor {
+            health: Arc::new(Mutex::new(vec![ShardHealth::default(); map.len()])),
             shards: map.shards().to_vec(),
             map,
             timeout: qprac_serve::timeout_from_env(),
             policy: qprac_serve::RetryPolicy::default(),
             cooldown: Self::BREAKER_COOLDOWN,
             stats: Arc::new(FaultStats::default()),
-            down: Arc::new(std::sync::Mutex::new(HashMap::new())),
         }
     }
 
@@ -260,7 +248,7 @@ impl RemoteExecutor {
         self
     }
 
-    /// Override the breaker cooldown.
+    /// Override the down cooldown.
     pub fn with_cooldown(mut self, cooldown: Duration) -> RemoteExecutor {
         self.cooldown = cooldown;
         self
@@ -282,85 +270,52 @@ impl RemoteExecutor {
     }
 
     /// One remote attempt against `addr` through the worker's cached
-    /// connection (opening it if needed, with deadlines).
-    fn attempt(
-        &self,
-        state: &mut ReplicaState,
-        addr: &str,
-        key: &RunKey,
-    ) -> Result<JobResult, qprac_serve::ClientError> {
+    /// connection (opening it if needed, with deadlines). A failed
+    /// connection is dropped: it may hold half a frame.
+    fn attempt(&self, addr: &str, key: &RunKey) -> Result<JobResult, qprac_serve::ClientError> {
         profile::time("remote_roundtrip", || {
-            if state.client.is_none() {
-                state.client = Some(qprac_serve::Client::connect_timeout(addr, self.timeout)?);
-            }
-            state.client.as_mut().unwrap().run(key)
+            CLIENTS.with(|cell| {
+                let mut clients = cell.borrow_mut();
+                if !clients.contains_key(addr) {
+                    let client = qprac_serve::Client::connect_timeout(addr, self.timeout)?;
+                    clients.insert(addr.to_string(), client);
+                }
+                let result = clients.get_mut(addr).expect("inserted above").run(key);
+                if result.is_err() {
+                    clients.remove(addr);
+                }
+                result
+            })
         })
     }
 
-    /// Record a success: close the breaker, keep the connection.
-    fn note_success(state: &mut ReplicaState) {
-        state.fails = 0;
-        state.open_until = None;
+    fn health(&self) -> std::sync::MutexGuard<'_, Vec<ShardHealth>> {
+        self.health
+            .lock()
+            .expect("no thread panics while holding the shard-health lock")
     }
 
-    /// Record a failure: drop the (possibly poisoned) connection and
-    /// open / re-open the breaker when warranted.
-    fn note_failure(&self, state: &mut ReplicaState, now: Instant) {
-        state.client = None;
-        state.fails += 1;
-        // A failed half-open probe re-opens immediately; otherwise open
-        // once the consecutive-failure threshold is crossed.
-        if state.open_until.is_some() || state.fails >= Self::BREAKER_THRESHOLD {
-            state.open_until = Some(now + self.cooldown);
-            self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        }
+    /// The shard answered: its failure streak is over.
+    fn note_success(&self, idx: usize) {
+        self.health()[idx].consecutive_fails = 0;
     }
 
-    /// Gatekeeper on the shard-down table: fail fast while a shard is
-    /// inside its down cooldown; once it expires, one cheap `HEALTH`
-    /// probe decides between readmission and re-arming the cooldown.
-    fn check_shard_up(&self, idx: usize, addr: &str) -> Result<(), String> {
-        let until = self.down.lock().unwrap().get(&idx).copied();
-        let Some(until) = until else { return Ok(()) };
-        if Instant::now() < until {
-            return Err(format!("shard {addr} marked down"));
+    /// Count a retryable failure; the threshold takes the shard down.
+    /// Returns whether the shard is now down.
+    fn note_failure(&self, idx: usize, why: &str) -> bool {
+        let mut health = self.health();
+        health[idx].consecutive_fails += 1;
+        if health[idx].consecutive_fails >= Self::BREAKER_THRESHOLD {
+            self.mark_down(&mut health[idx], idx, why);
         }
-        let probed = qprac_serve::Client::connect_timeout(addr, self.timeout)
-            .map_err(|e| e.to_string())
-            .and_then(|mut c| c.health().map_err(|e| e.to_string()));
-        match probed {
-            Ok(_) => {
-                if self.down.lock().unwrap().remove(&idx).is_some() {
-                    self.stats.shard_recoveries.fetch_add(1, Ordering::Relaxed);
-                    qprac_obs::global()
-                        .counter("qprac_bench_shard_recoveries_total")
-                        .inc();
-                }
-                // Readmit at the breaker too, or the next ladder would
-                // start half-open and skip its early attempts.
-                REPLICAS.with(|cell| {
-                    if let Some(state) = cell.borrow_mut().get_mut(addr) {
-                        Self::note_success(state);
-                    }
-                });
-                Ok(())
-            }
-            Err(e) => {
-                self.down
-                    .lock()
-                    .unwrap()
-                    .insert(idx, Instant::now() + self.cooldown);
-                Err(format!("shard {addr} still down: {e}"))
-            }
-        }
+        health[idx].down_until.is_some()
     }
 
-    /// An exhausted ladder takes the whole shard down for a cooldown:
-    /// its keys (and only its keys) degrade to the local pool without
-    /// burning further timeouts.
-    fn mark_shard_down(&self, idx: usize, why: &str) {
-        let mut down = self.down.lock().unwrap();
-        if down.insert(idx, Instant::now() + self.cooldown).is_none() {
+    /// Take a shard down for a cooldown: its keys (and only its keys)
+    /// degrade to the local pool without burning further timeouts.
+    fn mark_down(&self, entry: &mut ShardHealth, idx: usize, why: &str) {
+        if entry.down_until.is_none() {
+            entry.down_until = Some(Instant::now() + self.cooldown);
             self.stats.shard_downs.fetch_add(1, Ordering::Relaxed);
             qprac_obs::global()
                 .counter("qprac_bench_shard_downs_total")
@@ -369,6 +324,39 @@ impl RemoteExecutor {
                 "warning: shard {} marked down ({why}); its keys run locally until a HEALTH probe succeeds",
                 self.shards[idx]
             );
+        }
+    }
+
+    /// Gatekeeper on the shard's health: fail fast while it is inside
+    /// its down cooldown; once that expires, one cheap `HEALTH` probe
+    /// decides between readmission — a reset entry, for every worker —
+    /// and re-arming the cooldown.
+    fn check_shard_up(&self, idx: usize, addr: &str) -> Result<(), String> {
+        let Some(until) = self.health()[idx].down_until else {
+            return Ok(());
+        };
+        if Instant::now() < until {
+            return Err(format!("shard {addr} marked down"));
+        }
+        let probed = qprac_serve::Client::connect_timeout(addr, self.timeout)
+            .map_err(|e| e.to_string())
+            .and_then(|mut c| c.health().map_err(|e| e.to_string()));
+        let mut health = self.health();
+        match probed {
+            Ok(_) => {
+                if health[idx].down_until.is_some() {
+                    self.stats.shard_recoveries.fetch_add(1, Ordering::Relaxed);
+                    qprac_obs::global()
+                        .counter("qprac_bench_shard_recoveries_total")
+                        .inc();
+                }
+                health[idx] = ShardHealth::default();
+                Ok(())
+            }
+            Err(e) => {
+                health[idx].down_until = Some(Instant::now() + self.cooldown);
+                Err(format!("shard {addr} still down: {e}"))
+            }
         }
     }
 
@@ -386,45 +374,31 @@ impl RemoteExecutor {
         self.check_shard_up(idx, addr)?;
         let sleeps = qprac_serve::schedule(key.hash(), self.policy);
         let mut last_err = String::from("no attempt made");
-        let exhausted = REPLICAS.with(|cell| {
-            let mut table = cell.borrow_mut();
-            let state = table.entry(addr.clone()).or_default();
-            for attempt in 0..self.policy.attempts.max(1) as usize {
-                if attempt > 0 {
-                    std::thread::sleep(sleeps[attempt - 1]);
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                if !state.available(Instant::now()) {
-                    last_err = format!("{addr}: breaker open");
-                    continue; // the backoff sleep may outlive a cooldown
-                }
-                match self.attempt(state, addr, key) {
-                    Ok(result) => {
-                        Self::note_success(state);
-                        return Ok(Ok(result));
-                    }
-                    Err(e) => {
-                        let retryable = e.is_retryable();
-                        self.note_failure(state, Instant::now());
-                        last_err = format!("{addr}: {e}");
-                        if !retryable {
-                            // Authoritative rejection: the daemon
-                            // answered, the shard is healthy — the same
-                            // key fails the same way everywhere.
-                            return Ok(Err(last_err.clone()));
-                        }
-                    }
-                }
+        for attempt in 0..self.policy.attempts.max(1) as usize {
+            if attempt > 0 {
+                std::thread::sleep(sleeps[attempt - 1]);
+                self.stats.retries.fetch_add(1, Ordering::Relaxed);
             }
-            Err(())
-        });
-        match exhausted {
-            Ok(outcome) => outcome,
-            Err(()) => {
-                self.mark_shard_down(idx, &last_err);
-                Err(last_err)
+            match self.attempt(addr, key) {
+                Ok(result) => {
+                    self.note_success(idx);
+                    return Ok(result);
+                }
+                // Authoritative rejection: the daemon answered, the
+                // shard is healthy — the same key fails the same way
+                // everywhere.
+                Err(e) if !e.is_retryable() => return Err(format!("{addr}: {e}")),
+                Err(e) => {
+                    last_err = format!("{addr}: {e}");
+                    if self.note_failure(idx, &last_err) {
+                        return Err(last_err);
+                    }
+                }
             }
         }
+        let mut health = self.health();
+        self.mark_down(&mut health[idx], idx, &last_err);
+        Err(last_err)
     }
 
     /// The graceful-degradation tail: count it, warn once, run locally.
@@ -754,10 +728,9 @@ mod tests {
     }
 
     /// Acceptance pin: a hung shard costs bounded timeouts, the
-    /// worker's circuit breaker opens after the consecutive-failure
-    /// threshold, the shard lands in the down table, and the cell
-    /// still completes (here: on the local pool, since the hung shard
-    /// owns every key of a one-shard map).
+    /// consecutive-failure threshold takes it down before the ladder
+    /// is spent, and the cell still completes (here: on the local pool,
+    /// since the hung shard owns every key of a one-shard map).
     #[test]
     fn hung_shard_opens_the_breaker_and_the_cell_completes() {
         let (job, key) = tiny_workload_job();
@@ -773,17 +746,67 @@ mod tests {
         let out = exec.execute_cells(&[(&job, key)]);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], JobResult::Stats(_)));
-        // 3 timeouts open the breaker; attempts 4-5 skip it instantly.
+        // 3 timeouts take the shard down; attempts 4-5 never run.
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "deadlines must bound the stall (took {:?})",
             t0.elapsed()
         );
         let stats = exec.fault_stats();
-        assert!(stats.breaker_opens.load(Ordering::Relaxed) >= 1);
-        assert!(stats.retries.load(Ordering::Relaxed) >= RemoteExecutor::BREAKER_THRESHOLD as u64);
-        assert_eq!(stats.local_fallbacks.load(Ordering::Relaxed), 1);
         assert_eq!(stats.shard_downs.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.retries.load(Ordering::Relaxed),
+            RemoteExecutor::BREAKER_THRESHOLD as u64 - 1,
+            "the threshold stops the ladder early"
+        );
+        assert_eq!(stats.local_fallbacks.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.summary().unwrap(),
+            "remote-fault: retries=2 shard-downs=1 shard-recoveries=0 local-fallbacks=1"
+        );
+    }
+
+    /// A `HEALTH` readmission resets the shard's one shared entry, so
+    /// a worker whose failures took the shard down serves remotely the
+    /// moment another worker's probe readmits it.
+    #[test]
+    fn health_readmission_resets_the_shard_for_every_worker() {
+        let (_, key) = tiny_workload_job();
+        let live = qprac_serve::Server::bind("127.0.0.1:0", qprac_serve::ServerConfig::default())
+            .unwrap()
+            .spawn()
+            .unwrap()
+            .to_string();
+        let exec = RemoteExecutor::new(&live)
+            .with_timeout(Duration::from_secs(5))
+            .with_cooldown(Duration::from_millis(150));
+        let readmitted = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let worker_b = s.spawn(|| {
+                for _ in 0..RemoteExecutor::BREAKER_THRESHOLD {
+                    exec.note_failure(0, "injected for test");
+                }
+                readmitted.wait();
+                exec.run_remote(&key)
+            });
+            // Wait for worker B's failures to take the shard down.
+            while exec.fault_stats().shard_downs.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            let worker_a = s.spawn(|| exec.run_remote(&key)).join().unwrap();
+            assert!(
+                matches!(worker_a, Ok(JobResult::Stats(_))),
+                "probe readmits"
+            );
+            assert_eq!(exec.health()[0], ShardHealth::default());
+            readmitted.wait();
+            let served = worker_b.join().unwrap();
+            assert!(matches!(served, Ok(JobResult::Stats(_))), "{served:?}");
+        });
+        let stats = exec.fault_stats();
+        assert_eq!(stats.shard_recoveries.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.retries.load(Ordering::Relaxed), 0);
     }
 
     /// The tentpole's blast-radius property: with one shard hung and
@@ -842,7 +865,7 @@ mod tests {
         assert_eq!(probe.stat("simulated").unwrap(), 1, "live shard served");
     }
 
-    /// Down-table semantics: inside the cooldown its keys fail fast
+    /// Shard-down semantics: inside the cooldown its keys fail fast
     /// (no timeout burn); after the cooldown a successful `HEALTH`
     /// probe readmits the shard and traffic goes remote again.
     #[test]
@@ -856,7 +879,9 @@ mod tests {
         let exec = RemoteExecutor::new(&live)
             .with_timeout(Duration::from_secs(5))
             .with_cooldown(Duration::from_millis(150));
-        exec.mark_shard_down(0, "injected for test");
+        for _ in 0..RemoteExecutor::BREAKER_THRESHOLD {
+            exec.note_failure(0, "injected for test");
+        }
         assert_eq!(exec.fault_stats().shard_downs.load(Ordering::Relaxed), 1);
         // Inside the cooldown: immediate local-degrade, no remote dial.
         let t0 = Instant::now();
@@ -901,14 +926,11 @@ mod tests {
         let merged = scrape_cluster(&shards).expect("both shards scrape");
         assert_eq!(merged.counter("qprac_simulated_total"), 2);
         assert!(merged.counter("qprac_requests_total") >= 2);
-        // Client::run prefers the binary RUNB verb; either way the two
-        // requests' latencies must survive the merge.
-        let lat: u64 = ["qprac_lat_run_us", "qprac_lat_runb_us"]
-            .iter()
-            .filter_map(|name| merged.hists.get(*name))
-            .map(|h| h.count())
-            .sum();
-        assert_eq!(lat, 2, "run latency histograms merge across shards");
+        assert_eq!(
+            merged.hists["qprac_lat_runb_us"].count(),
+            2,
+            "run latency histograms merge across shards"
+        );
         // The merged snapshot still renders as valid exposition text.
         let text = merged.render_prometheus();
         let reparsed = qprac_obs::Snapshot::parse_prometheus(&text).unwrap();

@@ -74,51 +74,15 @@ impl Histogram {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Sum of all recorded values in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// Arithmetic mean of recorded values in microseconds (0 when
-    /// empty). Exact — computed from the running sum, not the buckets.
-    pub fn mean_us(&self) -> u64 {
-        self.snapshot().mean_us()
-    }
-
-    /// Fold every observation of `other` into `self` (cross-shard /
-    /// cross-phase aggregation). Both histograms may be concurrently
-    /// recorded into; the merge is then approximate by the in-flight
-    /// observations, never lossy of settled ones.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum_us
-            .fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Atomically-read copy of the current counts. All rendering and
-    /// quantile math goes through this one type.
+    /// Atomically-read copy of the current counts. All rendering,
+    /// merging and quantile math goes through this one type; concurrent
+    /// recording can make it approximate by a few observations, never
+    /// inconsistent enough to panic.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             buckets: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
             sum_us: self.sum_us.load(Ordering::Relaxed),
         }
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) as a bucket upper bound in µs;
-    /// 0 when the histogram is empty. Concurrent recording can make the
-    /// snapshot approximate by a few observations, never panic.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        self.snapshot().quantile_us(q)
-    }
-
-    /// The `name=value` lines for `STATS`/`HEALTH`: count plus
-    /// p50/p95/p99/p999 upper bounds and the mean, prefixed
-    /// `lat_<verb>_`. Empty verbs render nothing — quiet server, quiet
-    /// stats.
-    pub fn render(&self, verb: &str, out: &mut String) {
-        self.snapshot().render_stats(verb, out);
     }
 }
 
@@ -179,7 +143,10 @@ impl HistSnapshot {
         self.sum_us += other.sum_us;
     }
 
-    /// The `name=value` line rendering used by `STATS`/`HEALTH`.
+    /// The `name=value` lines for `STATS`/`HEALTH`: count plus
+    /// p50/p95/p99/p999 upper bounds and the mean, each prefixed
+    /// `\nlat_<verb>_`. Empty histograms render nothing — quiet server,
+    /// quiet stats.
     pub fn render_stats(&self, verb: &str, out: &mut String) {
         let count = self.count();
         if count == 0 {
@@ -253,7 +220,7 @@ mod tests {
     #[test]
     fn quantiles_report_bucket_upper_bounds() {
         let h = Histogram::default();
-        assert_eq!(h.quantile_us(0.5), 0, "empty histogram");
+        assert_eq!(h.snapshot().quantile_us(0.5), 0, "empty histogram");
         // 90 fast observations (bucket of 10 µs = [8,16) → bound 15)
         // and 10 slow ones (1000 µs → bucket [512,1024) → bound 1023).
         for _ in 0..90 {
@@ -263,22 +230,23 @@ mod tests {
             h.record_us(1000);
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 15);
-        assert_eq!(h.quantile_us(0.90), 15);
-        assert_eq!(h.quantile_us(0.95), 1023);
-        assert_eq!(h.quantile_us(0.99), 1023);
-        assert_eq!(h.quantile_us(1.0), 1023);
+        let s = h.snapshot();
+        assert_eq!(s.quantile_us(0.50), 15);
+        assert_eq!(s.quantile_us(0.90), 15);
+        assert_eq!(s.quantile_us(0.95), 1023);
+        assert_eq!(s.quantile_us(0.99), 1023);
+        assert_eq!(s.quantile_us(1.0), 1023);
     }
 
     #[test]
     fn mean_is_exact_from_running_sum() {
         let h = Histogram::default();
-        assert_eq!(h.mean_us(), 0);
+        assert_eq!(h.snapshot().mean_us(), 0);
         h.record_us(10);
         h.record_us(20);
         h.record_us(33);
-        assert_eq!(h.sum_us(), 63);
-        assert_eq!(h.mean_us(), 21);
+        assert_eq!(h.snapshot().sum_us, 63);
+        assert_eq!(h.snapshot().mean_us(), 21);
     }
 
     #[test]
@@ -287,13 +255,14 @@ mod tests {
         for _ in 0..998 {
             h.record_us(10);
         }
-        assert_eq!(h.quantile_us(0.999), 15, "all fast so far");
+        assert_eq!(h.snapshot().quantile_us(0.999), 15, "all fast so far");
         // Two tail observations: rank ⌈0.999·1000⌉ = 999 lands past the
         // 998 fast ones. Bucket [65536,131072) → bound 131071.
         h.record_us(100_000);
         h.record_us(100_000);
-        assert_eq!(h.quantile_us(0.999), 131071, "tail surfaces at p999");
-        assert_eq!(h.quantile_us(0.50), 15);
+        let s = h.snapshot();
+        assert_eq!(s.quantile_us(0.999), 131071, "tail surfaces at p999");
+        assert_eq!(s.quantile_us(0.50), 15);
     }
 
     #[test]
@@ -305,15 +274,11 @@ mod tests {
         }
         b.record_us(1000);
         b.record_us(10);
-        a.merge(&b);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.sum_us(), 5 * 10 + 1000 + 10);
-        assert_eq!(a.quantile_us(1.0), 1023);
-        // Snapshot merge agrees with atomic merge.
-        let mut sa = Histogram::default().snapshot();
-        sa.merge(&b.snapshot());
-        assert_eq!(sa.count(), 2);
-        assert_eq!(sa.sum_us, 1010);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged.count(), 7);
+        assert_eq!(merged.sum_us, 5 * 10 + 1000 + 10);
+        assert_eq!(merged.quantile_us(1.0), 1023);
     }
 
     #[test]
@@ -355,6 +320,6 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 4000);
-        assert_eq!(h.sum_us(), 4 * (999 * 1000 / 2));
+        assert_eq!(h.snapshot().sum_us, 4 * (999 * 1000 / 2));
     }
 }

@@ -1,20 +1,20 @@
 //! Deterministic fault injection for the service stack.
 //!
 //! `QPRAC_CHAOS=<seed>:<spec>` arms a seeded fault injector inside the
-//! server: connections can be dropped at accept, reads delayed, response
-//! frames truncated mid-payload, and single-flight *leaders* killed
-//! mid-simulation (exercising the poison-publication path that keeps
-//! followers from hanging). The injector is std-only and driven by one
-//! [`SplitMix64`] stream, so a given seed produces a reproducible fault
-//! sequence — the chaos integration suite replays the same flaky
-//! cluster on every run.
+//! server's event loop: connections can be dropped at accept, resolves
+//! delayed, response frames truncated mid-payload, and single-flight
+//! *leaders* killed mid-simulation (exercising the poison-publication
+//! path that keeps followers from hanging). The injector is std-only
+//! and driven by one [`SplitMix64`] stream, so a given seed produces a
+//! reproducible fault sequence — the chaos integration suite replays
+//! the same flaky cluster on every run.
 //!
 //! `<spec>` is a comma-separated fault list:
 //!
 //! | token        | fault                                                |
 //! |--------------|------------------------------------------------------|
 //! | `drop=P`     | close an accepted connection immediately, prob. `P`  |
-//! | `delay=P/MS` | stall a socket read `MS` ms, probability `P`         |
+//! | `delay=P/MS` | stall a `RUNB` resolve `MS` ms, probability `P`      |
 //! | `trunc=P`    | cut a response frame mid-payload and kill the socket |
 //! | `kill=N`     | panic the first `N` single-flight leaders mid-run    |
 //!
@@ -25,11 +25,11 @@
 //! cluster slows clients down but never changes their results (the
 //! key-only protocol is idempotent; re-driving a key is always safe).
 
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+use qprac_obs::{Counter, Registry};
 
 use crate::backoff::SplitMix64;
 
@@ -40,9 +40,9 @@ pub struct ChaosSpec {
     pub seed: u64,
     /// Probability an accepted connection is dropped on the floor.
     pub drop_prob: f64,
-    /// Probability any single read is delayed by [`Self::delay`].
+    /// Probability a `RUNB` resolve is delayed by [`Self::delay`].
     pub delay_prob: f64,
-    /// Read-stall injected when the delay fault fires.
+    /// Stall injected when the delay fault fires.
     pub delay: Duration,
     /// Probability a response write is truncated mid-frame.
     pub trunc_prob: f64,
@@ -114,35 +114,46 @@ impl ChaosSpec {
     }
 }
 
+/// `HEALTH` keys of the fired-fault counters, paired with their
+/// registry names.
+pub const CHAOS_COUNTERS: [(&str, &str); 4] = [
+    ("chaos_dropped", "qprac_chaos_dropped_total"),
+    ("chaos_delayed", "qprac_chaos_delayed_total"),
+    ("chaos_truncated", "qprac_chaos_truncated_total"),
+    ("chaos_killed", "qprac_chaos_killed_total"),
+];
+
 /// The armed injector: one shared PRNG stream plus fired-fault counters
-/// (reported by the server's `STATS`/`HEALTH` output so a chaos CI run
-/// can prove faults actually fired).
+/// in the server's registry (reported by `HEALTH` and `METRICS`, so a
+/// chaos CI run can prove faults actually fired).
 #[derive(Debug)]
 pub struct Chaos {
     spec: ChaosSpec,
     rng: Mutex<SplitMix64>,
     kills_left: AtomicU32,
     /// Connections dropped at accept.
-    pub dropped: AtomicU64,
-    /// Reads delayed.
-    pub delayed: AtomicU64,
+    pub dropped: Counter,
+    /// Resolves delayed.
+    pub delayed: Counter,
     /// Response frames truncated.
-    pub truncated: AtomicU64,
+    pub truncated: Counter,
     /// Single-flight leaders killed.
-    pub killed: AtomicU64,
+    pub killed: Counter,
 }
 
 impl Chaos {
-    /// Arm a spec.
-    pub fn new(spec: ChaosSpec) -> Chaos {
+    /// Arm a spec, registering its fault counters in `registry`.
+    pub fn new(spec: ChaosSpec, registry: &Registry) -> Chaos {
+        let [dropped, delayed, truncated, killed] =
+            CHAOS_COUNTERS.map(|(_, name)| registry.counter(name));
         Chaos {
             rng: Mutex::new(SplitMix64::new(spec.seed)),
             kills_left: AtomicU32::new(spec.kill_leaders),
             spec,
-            dropped: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-            truncated: AtomicU64::new(0),
-            killed: AtomicU64::new(0),
+            dropped,
+            delayed,
+            truncated,
+            killed,
         }
     }
 
@@ -155,28 +166,22 @@ impl Chaos {
 
     /// Should this freshly-accepted connection be dropped?
     pub fn drop_connection(&self) -> bool {
-        let fired = self.chance(self.spec.drop_prob);
-        if fired {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        fired
+        Self::fire(self.chance(self.spec.drop_prob), &self.dropped)
     }
 
-    /// Stall to inject before a read, if the delay fault fires.
-    pub fn read_delay(&self) -> Option<Duration> {
-        if self.chance(self.spec.delay_prob) {
-            self.delayed.fetch_add(1, Ordering::Relaxed);
-            Some(self.spec.delay)
-        } else {
-            None
-        }
+    /// Stall to inject before a resolve, if the delay fault fires.
+    pub fn delay(&self) -> Option<Duration> {
+        Self::fire(self.chance(self.spec.delay_prob), &self.delayed).then_some(self.spec.delay)
     }
 
-    /// Should this response write be truncated mid-frame?
+    /// Should this response frame be truncated?
     pub fn truncate_write(&self) -> bool {
-        let fired = self.chance(self.spec.trunc_prob);
+        Self::fire(self.chance(self.spec.trunc_prob), &self.truncated)
+    }
+
+    fn fire(fired: bool, counter: &Counter) -> bool {
         if fired {
-            self.truncated.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
         }
         fired
     }
@@ -190,89 +195,21 @@ impl Chaos {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| k.checked_sub(1))
             .is_ok();
         if armed {
-            self.killed.fetch_add(1, Ordering::Relaxed);
+            self.killed.inc();
             panic!("chaos: single-flight leader killed mid-simulation");
         }
-    }
-
-    /// `name=value` counter block of fired faults.
-    pub fn render(&self) -> String {
-        format!(
-            "chaos_dropped={}\nchaos_delayed={}\nchaos_truncated={}\nchaos_killed={}",
-            self.dropped.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-            self.truncated.load(Ordering::Relaxed),
-            self.killed.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A [`TcpStream`] wrapper that injects the read-delay and
-/// write-truncation faults. Truncation writes half the caller's bytes,
-/// shuts the socket down both ways and reports `BrokenPipe` — exactly
-/// what a peer observing a mid-frame crash would see.
-pub struct ChaosStream<'a> {
-    inner: TcpStream,
-    chaos: &'a Chaos,
-    dead: bool,
-}
-
-impl<'a> ChaosStream<'a> {
-    /// Wrap one direction of a connection.
-    pub fn new(inner: TcpStream, chaos: &'a Chaos) -> Self {
-        ChaosStream {
-            inner,
-            chaos,
-            dead: false,
-        }
-    }
-}
-
-impl Read for ChaosStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.dead {
-            return Ok(0); // a killed socket reads as EOF
-        }
-        if let Some(delay) = self.chaos.read_delay() {
-            std::thread::sleep(delay);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl Write for ChaosStream<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "chaos-killed"));
-        }
-        if !buf.is_empty() && self.chaos.truncate_write() {
-            let cut = buf.len() / 2;
-            if cut > 0 {
-                let _ = self.inner.write(&buf[..cut]);
-            }
-            let _ = self.inner.flush();
-            let _ = self.inner.shutdown(Shutdown::Both);
-            self.dead = true;
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "chaos: frame truncated mid-payload",
-            ));
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "chaos-killed"));
-        }
-        self.inner.flush()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    use sim::{MitigationKind, RunKey, SystemConfig};
+
+    use crate::{Client, ClientError, Server, ServerConfig};
 
     #[test]
     fn specs_parse_and_reject_garbage() {
@@ -320,8 +257,8 @@ mod tests {
                 })
                 .collect()
         };
-        let a = decisions(&Chaos::new(spec));
-        let b = decisions(&Chaos::new(spec));
+        let a = decisions(&Chaos::new(spec, &Registry::new()));
+        let b = decisions(&Chaos::new(spec, &Registry::new()));
         assert_eq!(a, b, "same seed, same fault sequence");
         assert!(a.iter().any(|&f| f), "p=0.3 over 64 draws fires");
         assert!(!a.iter().all(|&f| f), "p=0.3 over 64 draws also misses");
@@ -329,7 +266,8 @@ mod tests {
 
     #[test]
     fn kill_budget_fires_exactly_n_times() {
-        let chaos = Chaos::new(ChaosSpec::parse("1:kill=2").unwrap());
+        let registry = Registry::new();
+        let chaos = Chaos::new(ChaosSpec::parse("1:kill=2").unwrap(), &registry);
         for _ in 0..2 {
             let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 chaos.kill_leader();
@@ -337,51 +275,69 @@ mod tests {
             assert!(died.is_err(), "armed kill must panic");
         }
         chaos.kill_leader(); // budget exhausted: a no-op, not a panic
-        assert_eq!(chaos.killed.load(Ordering::Relaxed), 2);
-        assert!(chaos.render().contains("chaos_killed=2"));
+        assert_eq!(chaos.killed.get(), 2);
+        assert_eq!(registry.snapshot().counter("qprac_chaos_killed_total"), 2);
     }
 
-    /// A connected local socket pair.
-    fn socket_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
+    /// A server with `faults` armed, on an ephemeral port.
+    fn chaos_server(faults: &str) -> std::net::SocketAddr {
+        let config = ServerConfig {
+            chaos: Some(ChaosSpec::parse(faults).unwrap()),
+            ..ServerConfig::default()
+        };
+        Server::bind("127.0.0.1:0", config)
+            .unwrap()
+            .spawn()
+            .unwrap()
+    }
+
+    fn small_key() -> RunKey {
+        let cfg = SystemConfig::paper_default()
+            .with_mitigation(MitigationKind::Qprac)
+            .with_instruction_limit(200);
+        RunKey::workload(&cfg, "ycsb/a_like")
     }
 
     #[test]
     fn truncation_cuts_the_frame_and_kills_the_socket() {
-        let (tx, mut rx) = socket_pair();
-        let chaos = Chaos::new(ChaosSpec::parse("1:trunc=1").unwrap());
-        let mut stream = ChaosStream::new(tx, &chaos);
-        let err = stream.write(b"0123456789abcdef").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // The peer sees exactly the truncated prefix, then EOF.
+        let addr = chaos_server("1:trunc=1");
+        let err = Client::connect(addr)
+            .unwrap()
+            .run(&small_key())
+            .unwrap_err();
+        assert!(matches!(err, ClientError::Io(_)), "{err}");
+        assert!(err.is_retryable(), "a cut frame is transient: {err}");
+        // The peer sees exactly the first half of the frame, then EOF.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(b"PING\n").unwrap();
         let mut got = Vec::new();
-        rx.read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"01234567", "half the frame, then the cut");
-        // The chaos side is dead for good.
-        assert!(stream.write(b"more").is_err());
-        assert_eq!(stream.read(&mut [0u8; 4]).unwrap(), 0, "EOF after kill");
-        assert_eq!(chaos.truncated.load(Ordering::Relaxed), 1);
+        let _ = raw.read_to_end(&mut got);
+        assert_eq!(got, b"OK text", "half of `OK text 4\\npong`");
     }
 
     #[test]
-    fn read_delay_stalls_then_delivers_intact() {
-        let (tx, rx) = socket_pair();
-        let chaos = Chaos::new(ChaosSpec::parse("1:delay=1/30").unwrap());
-        let mut stream = ChaosStream::new(rx, &chaos);
-        let mut tx = tx;
-        tx.write_all(b"payload").unwrap();
+    fn delay_stalls_a_runb_then_delivers_intact() {
+        let addr = chaos_server("1:delay=1/30");
+        let mut client = Client::connect(addr).unwrap();
+        let first = client.run(&small_key()).unwrap();
+        // The second resolve is a memory hit: only the fault stalls it.
         let t0 = std::time::Instant::now();
-        let mut buf = [0u8; 7];
-        stream.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"payload", "delay must not corrupt data");
+        let again = client.run(&small_key()).unwrap();
         assert!(
             t0.elapsed() >= Duration::from_millis(25),
-            "the armed delay must actually stall the read"
+            "the armed delay must actually stall the resolve"
         );
-        assert!(chaos.delayed.load(Ordering::Relaxed) >= 1);
+        assert_eq!(again, first, "delay must not corrupt data");
+        assert!(client.health().unwrap().contains("chaos_delayed=2"));
+    }
+
+    #[test]
+    fn drop_hangs_up_without_a_byte() {
+        let addr = chaos_server("1:drop=1");
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let _ = raw.write_all(b"PING\n");
+        let mut buf = [0u8; 16];
+        assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "dropped conn got bytes");
     }
 }

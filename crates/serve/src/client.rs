@@ -3,14 +3,8 @@
 //! One [`Client`] wraps one TCP connection; requests on a connection
 //! are answered in order, so a client can pipeline a batch of keys by
 //! issuing [`Client::run`] repeatedly. For parallelism, open several
-//! clients — the server is thread-per-connection and coalesces
-//! duplicate in-flight keys across all of them.
-//!
-//! Payload negotiation: the first [`Client::run`] tries the binary
-//! `RUNB` verb; a server that predates it answers `ERR unknown
-//! request`, and the client falls back to text `RUN` for the rest of
-//! the connection. No version handshake, no extra round-trips on the
-//! happy path.
+//! clients — the server multiplexes every connection on one event loop
+//! and coalesces duplicate in-flight keys across all of them.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};
@@ -81,8 +75,6 @@ impl ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// Whether the server understands `RUNB` (`None` = not yet probed).
-    binary: Option<bool>,
 }
 
 impl Client {
@@ -121,54 +113,39 @@ impl Client {
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
-            binary: None,
         })
     }
 
-    fn call(&mut self, req: &Request) -> Result<(String, String), ClientError> {
+    /// Send one request and read its response; `ERR` becomes
+    /// [`ClientError::Server`].
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_request(&mut self.writer, req)?;
         match read_response(&mut self.reader)? {
-            Response::Ok { kind, payload } => Ok((kind, payload)),
-            Response::OkBin(_) => Err(ClientError::Server(
-                "unexpected binary response to a text request".into(),
-            )),
             Response::Err(msg) => Err(ClientError::Server(msg)),
+            response => Ok(response),
         }
     }
 
-    /// Resolve one cell by canonical key text, decoding the payload
-    /// into a [`CellResult`]. Prefers the binary `RUNB` verb, falling
-    /// back to text `RUN` (and remembering the answer) on servers that
-    /// predate it.
-    pub fn run_key_text(&mut self, key_text: &str) -> Result<CellResult, ClientError> {
-        if self.binary.unwrap_or(true) {
-            write_request(&mut self.writer, &Request::RunBin(key_text.to_string()))?;
-            match read_response(&mut self.reader)? {
-                Response::OkBin(frame) => {
-                    self.binary = Some(true);
-                    return sim::codec::decode_cell(&frame).map_err(|e| {
-                        ClientError::Server(format!("undecodable binary response: {e}"))
-                    });
-                }
-                Response::Ok { kind, payload } => {
-                    // A RUNB-aware server never answers OK; tolerate it
-                    // anyway rather than failing a usable payload.
-                    self.binary = Some(true);
-                    return CellResult::from_payload(&kind, &payload).map_err(|e| {
-                        ClientError::Server(format!("undecodable response payload: {e}"))
-                    });
-                }
-                Response::Err(msg) if self.binary.is_none() && msg.contains("unknown request") => {
-                    // Pre-RUNB server: fall through to the text verb and
-                    // stop probing on this connection.
-                    self.binary = Some(false);
-                }
-                Response::Err(msg) => return Err(ClientError::Server(msg)),
-            }
+    /// A control verb's text payload.
+    fn call_text(&mut self, req: &Request) -> Result<String, ClientError> {
+        match self.call(req)? {
+            Response::Ok(payload) => Ok(payload),
+            _ => Err(ClientError::Server(format!(
+                "unexpected binary response to {req:?}"
+            ))),
         }
-        let (kind, payload) = self.call(&Request::Run(key_text.to_string()))?;
-        CellResult::from_payload(&kind, &payload)
-            .map_err(|e| ClientError::Server(format!("undecodable response payload: {e}")))
+    }
+
+    /// Resolve one cell by canonical key text (the `RUNB` verb),
+    /// decoding the binary frame into a [`CellResult`].
+    pub fn run_key_text(&mut self, key_text: &str) -> Result<CellResult, ClientError> {
+        match self.call(&Request::RunBin(key_text.to_string()))? {
+            Response::OkBin(frame) => sim::codec::decode_cell(&frame)
+                .map_err(|e| ClientError::Server(format!("undecodable binary response: {e}"))),
+            _ => Err(ClientError::Server(
+                "unexpected text response to RUNB".into(),
+            )),
+        }
     }
 
     /// [`Self::run_key_text`] for an already-built [`RunKey`].
@@ -179,7 +156,7 @@ impl Client {
     /// Fetch the server's counter block (the `STATS` payload,
     /// `name=value` per line).
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        Ok(self.call(&Request::Stats)?.1)
+        self.call_text(&Request::Stats)
     }
 
     /// One `name=value` counter out of [`Self::stats`] output.
@@ -195,7 +172,7 @@ impl Client {
     /// Fetch the server's `HEALTH` block (`name=value` per line:
     /// status, uptime, queue depth, in-flight work).
     pub fn health(&mut self) -> Result<String, ClientError> {
-        Ok(self.call(&Request::Health)?.1)
+        self.call_text(&Request::Health)
     }
 
     /// Fetch the server's registry in Prometheus text exposition
@@ -203,13 +180,13 @@ impl Client {
     /// [`qprac_obs::Snapshot::parse_prometheus`] to merge scrapes
     /// across shards.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        Ok(self.call(&Request::Metrics)?.1)
+        self.call_text(&Request::Metrics)
     }
 
     /// Ask the server to shut down gracefully: it stops accepting,
     /// drains in-flight work, and exits its accept loop.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let (_, payload) = self.call(&Request::Shutdown)?;
+        let payload = self.call_text(&Request::Shutdown)?;
         if payload == "draining" {
             Ok(())
         } else {
@@ -221,7 +198,7 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let (_, payload) = self.call(&Request::Ping)?;
+        let payload = self.call_text(&Request::Ping)?;
         if payload == "pong" {
             Ok(())
         } else {

@@ -6,16 +6,14 @@
 //! comparisons) share one warm cache and one bounded worker pool
 //! instead of each re-simulating the same baselines.
 //!
-//! - [`protocol`] — the line-oriented wire format (payloads are the
-//!   [`sim::serdes`] cache text; nothing new is invented);
+//! - [`protocol`] — the line-oriented wire format (cell results travel
+//!   as [`sim::codec`] frames, the run cache's own encoding);
 //! - [`server`] — the daemon with the three-tier resolve path (LRU →
 //!   persistent [`sim::RunCache`] → simulate) and single-flight
-//!   coalescing, served by an event-driven poll-readiness loop on unix
-//!   (thread-per-connection elsewhere, or under chaos injection);
+//!   coalescing, served by one poll-readiness event loop (unix only)
+//!   that also hosts the [`chaos`] fault injector;
 //! - [`shard`] — client-side consistent-hash routing: which shard of a
 //!   cluster owns a [`sim::RunKey`];
-//! - [`histogram`] — the per-verb latency histograms behind the
-//!   `STATS`/`HEALTH` quantile lines;
 //! - [`singleflight`] / [`memcache`] — the two concurrency primitives,
 //!   usable on their own;
 //! - [`client`] — the blocking client used by `qprac-client` and the
@@ -44,7 +42,6 @@
 pub mod backoff;
 pub mod chaos;
 pub mod client;
-pub mod histogram;
 pub mod memcache;
 #[cfg(unix)]
 pub mod poll;
@@ -56,9 +53,8 @@ pub mod shard;
 pub mod singleflight;
 
 pub use backoff::{schedule, RetryPolicy, SplitMix64};
-pub use chaos::{Chaos, ChaosSpec, ChaosStream};
+pub use chaos::{Chaos, ChaosSpec};
 pub use client::{timeout_from_env, Client, ClientError, DEFAULT_TIMEOUT};
-pub use histogram::{Histogram, VerbHistograms};
 #[cfg(unix)]
 pub use poll::raise_nofile_limit;
 pub use server::{Server, ServerConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};

@@ -1,32 +1,22 @@
 //! The `qprac-serve` wire protocol: line-oriented requests,
 //! length-prefixed responses.
 //!
-//! No serialization is invented here — payloads are the exact
-//! [`sim::serdes`] cache-text forms (`RunStats::to_cache_text`,
-//! `attack_to_text`, a decimal count), so a response body is
-//! byte-identical to the corresponding run-cache file body and a client
-//! can feed it straight back into [`sim::CellResult::from_payload`].
-//!
 //! ```text
-//! request  := "RUN " <canonical run-key text> "\n"
-//!           | "RUNB " <canonical run-key text> "\n"
+//! request  := "RUNB " <canonical run-key text> "\n"
 //!           | "STATS\n"
 //!           | "HEALTH\n"
 //!           | "METRICS\n"
 //!           | "SHUTDOWN\n"
 //!           | "PING\n"
-//! response := "OK " <kind> " " <len> "\n" <len payload bytes>
-//!           | "OKB " <len> "\n" <len frame bytes>
+//! response := "OKB " <len> "\n" <len frame bytes>
+//!           | "OK text " <len> "\n" <len payload bytes>
 //!           | "ERR " <len> "\n" <len message bytes>
-//! kind     := "stats" | "attack" | "count" | "text"
 //! ```
 //!
-//! `RUNB` is the binary-payload variant of `RUN`: the same resolve
-//! path, answered with an `OKB` frame whose payload is the
-//! [`sim::codec`] cell encoding (self-describing kind, versioned,
-//! checksummed) — so warm remote hits skip text parsing entirely. A
-//! server that predates `RUNB` answers `ERR unknown request ...`;
-//! clients fall back to `RUN` and remember per connection.
+//! `RUNB` resolves one cell and answers with an `OKB` frame whose
+//! payload is the [`sim::codec`] cell encoding (self-describing kind,
+//! versioned, checksummed) — the same bytes the run cache stores. The
+//! control verbs answer `OK text` with a UTF-8 payload.
 //!
 //! Requests are single lines because canonical run keys never contain
 //! newlines; responses are length-prefixed because stats payloads are
@@ -43,10 +33,8 @@ pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Resolve one cell by its canonical [`sim::RunKey`] text.
-    Run(String),
-    /// [`Request::Run`] answered in the binary cell encoding
-    /// ([`Response::OkBin`]).
+    /// Resolve one cell by its canonical [`sim::RunKey`] text, answered
+    /// in the binary cell encoding ([`Response::OkBin`]).
     RunBin(String),
     /// Server counters (requests / hits / simulated / coalesced).
     Stats,
@@ -65,14 +53,8 @@ pub enum Request {
 /// One server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Success: a result payload tagged with its kind (`stats` /
-    /// `attack` / `count` for cell results, `text` for STATS/PING).
-    Ok {
-        /// Payload kind tag.
-        kind: String,
-        /// Payload body (the serdes text form).
-        payload: String,
-    },
+    /// Success of a control verb: a text payload.
+    Ok(String),
     /// Success for a `RUNB` request: a [`sim::codec`] cell frame.
     OkBin(Vec<u8>),
     /// Failure: a human-readable reason. The connection stays usable.
@@ -121,13 +103,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         return Ok(Request::RunBin(key.to_string()));
     }
-    if let Some(key) = line.strip_prefix("RUN ") {
-        let key = key.trim();
-        if key.is_empty() {
-            return Err("RUN needs a run-key argument".into());
-        }
-        return Ok(Request::Run(key.to_string()));
-    }
     match line.trim_end() {
         "STATS" => Ok(Request::Stats),
         "HEALTH" => Ok(Request::Health),
@@ -135,7 +110,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "SHUTDOWN" => Ok(Request::Shutdown),
         "PING" => Ok(Request::Ping),
         other => Err(format!(
-            "unknown request {:?} (expected RUN <key> | RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
+            "unknown request {:?} (expected RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
             clip(other, 80)
         )),
     }
@@ -144,7 +119,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Write one request line.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
-        Request::Run(key) => writeln!(w, "RUN {key}"),
         Request::RunBin(key) => writeln!(w, "RUNB {key}"),
         Request::Stats => writeln!(w, "STATS"),
         Request::Health => writeln!(w, "HEALTH"),
@@ -158,8 +132,8 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
 /// Write one framed response.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match resp {
-        Response::Ok { kind, payload } => {
-            write!(w, "OK {kind} {}\n{payload}", payload.len())?;
+        Response::Ok(payload) => {
+            write!(w, "OK text {}\n{payload}", payload.len())?;
         }
         Response::OkBin(frame) => {
             writeln!(w, "OKB {}", frame.len())?;
@@ -186,21 +160,15 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Response> {
         r.read_exact(&mut frame)?;
         return Ok(Response::OkBin(frame));
     }
-    let (len, make): (usize, Box<dyn FnOnce(String) -> Response>) =
-        if let Some(rest) = line.strip_prefix("OK ") {
-            let (kind, len) = rest
-                .rsplit_once(' ')
-                .ok_or_else(|| bad_frame(&line, "missing payload length"))?;
-            let kind = kind.to_string();
-            (
-                parse_len(len, &line)?,
-                Box::new(move |payload| Response::Ok { kind, payload }),
-            )
+    let (len, make): (&str, fn(String) -> Response) =
+        if let Some(len) = line.strip_prefix("OK text ") {
+            (len, Response::Ok)
         } else if let Some(len) = line.strip_prefix("ERR ") {
-            (parse_len(len, &line)?, Box::new(Response::Err))
+            (len, Response::Err)
         } else {
-            return Err(bad_frame(&line, "expected OK, OKB or ERR"));
+            return Err(bad_frame(&line, "expected OKB, OK text or ERR"));
         };
+    let len = parse_len(len, &line)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     let payload = String::from_utf8(payload).map_err(|e| {
@@ -252,7 +220,6 @@ mod tests {
     #[test]
     fn requests_render_and_parse() {
         for req in [
-            Request::Run("workload:x;cores=4".into()),
             Request::RunBin("workload:x;cores=4".into()),
             Request::Stats,
             Request::Health,
@@ -265,7 +232,7 @@ mod tests {
             let line = read_line(&mut Cursor::new(buf)).unwrap().unwrap();
             assert_eq!(parse_request(&line).unwrap(), req);
         }
-        assert!(parse_request("RUN ").is_err());
+        assert!(parse_request("RUN workload:x;cores=4").is_err());
         assert!(parse_request("RUNB ").is_err());
         assert!(parse_request("DELETE everything").is_err());
         assert!(parse_request("").is_err());
@@ -273,15 +240,9 @@ mod tests {
 
     #[test]
     fn responses_round_trip_including_multiline_payloads() {
-        let ok = Response::Ok {
-            kind: "stats".into(),
-            payload: "cpu_cycles=1\nmem_cycles=2\ncore_ipc=[0.5]\n".into(),
-        };
+        let ok = Response::Ok("requests=1\nmem_hits=2\n".into());
         assert_eq!(round_trip_response(&ok), ok);
-        let empty = Response::Ok {
-            kind: "text".into(),
-            payload: String::new(),
-        };
+        let empty = Response::Ok(String::new());
         assert_eq!(round_trip_response(&empty), empty);
         let err = Response::Err("unknown workload \"nope\"".into());
         assert_eq!(round_trip_response(&err), err);
@@ -294,10 +255,7 @@ mod tests {
 
     #[test]
     fn pipelined_responses_leave_the_stream_aligned() {
-        let a = Response::Ok {
-            kind: "count".into(),
-            payload: "41".into(),
-        };
+        let a = Response::Ok("41".into());
         let b = Response::Err("x".into());
         let mut buf = Vec::new();
         write_response(&mut buf, &a).unwrap();
@@ -310,16 +268,16 @@ mod tests {
     #[test]
     fn truncated_and_oversized_frames_error_cleanly() {
         // EOF mid-line.
-        let mut cur = Cursor::new(b"RUN half-a-request".to_vec());
+        let mut cur = Cursor::new(b"RUNB half-a-request".to_vec());
         assert!(read_line(&mut cur).is_err());
         // Clean EOF.
         let mut cur = Cursor::new(Vec::new());
         assert!(read_line(&mut cur).unwrap().is_none());
         // Payload shorter than its declared length.
-        let mut cur = Cursor::new(b"OK count 10\n41".to_vec());
+        let mut cur = Cursor::new(b"OK text 10\n41".to_vec());
         assert!(read_response(&mut cur).is_err());
         // Absurd declared length is rejected before allocation.
-        let mut cur = Cursor::new(b"OK count 99999999999\n".to_vec());
+        let mut cur = Cursor::new(b"OK text 99999999999\n".to_vec());
         assert!(read_response(&mut cur).is_err());
         // Garbage status line.
         let mut cur = Cursor::new(b"YO 3\nabc".to_vec());

@@ -1,5 +1,5 @@
-//! The event-driven server core: a bounded `poll(2)` readiness loop
-//! over nonblocking sockets, replacing thread-per-connection.
+//! The server's one serve loop: a bounded `poll(2)` readiness loop
+//! over nonblocking sockets.
 //!
 //! One reactor thread owns every connection as a small state machine
 //! (read buffer → framed request → response buffer); the only other
@@ -11,44 +11,50 @@
 //!
 //! Division of labor per request:
 //!
-//! - cheap verbs (`PING`/`STATS`/`HEALTH`/`SHUTDOWN`) are answered
-//!   inline on the reactor thread;
-//! - `RUN`/`RUNB` are handed to the dispatch pool, which drives the
-//!   same three-tier [`resolve`] path as the threaded server (LRU →
-//!   disk → semaphore-bounded single-flight simulation) and posts the
-//!   response back through a [`WakePipe`].
+//! - control verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/`SHUTDOWN`) are
+//!   answered inline on the reactor thread;
+//! - `RUNB` is handed to the dispatch pool, which drives the three-tier
+//!   [`resolve`] path (LRU → disk → semaphore-bounded single-flight
+//!   simulation) and posts the response back through a [`WakePipe`].
 //!
-//! Per-connection ordering matches the threaded server exactly: one
-//! request is in flight per connection at a time, and pipelined
-//! requests queue in the connection's read buffer (bounded — a flooding
-//! peer hits TCP backpressure, never unbounded memory).
+//! One request is in flight per connection at a time, so responses
+//! come back in request order; pipelined requests queue in the
+//! connection's read buffer (bounded — a flooding peer hits TCP
+//! backpressure, never unbounded memory).
 //!
-//! `SHUTDOWN` drains like the threaded path: accepting stops, in-flight
-//! resolves complete, their responses flush, then the loop exits.
+//! Armed chaos ([`Chaos`]) injects its faults here too: `drop` hangs up
+//! at accept, `delay` stalls a dispatch worker (never the reactor
+//! thread) before it resolves, `trunc` halves a response frame and
+//! closes the connection once that half is flushed, and `kill` panics
+//! inside [`resolve`], which the dispatch worker's `catch_unwind` turns
+//! into a retryable `ERR`.
+//!
+//! `SHUTDOWN` drains: accepting stops, in-flight resolves complete,
+//! their responses flush, then the loop exits.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use crate::chaos::Chaos;
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{parse_request, write_response, Request, Response, MAX_LINE};
-use crate::server::{metrics_payload, render_health, resolve, stats_payload, Inner};
+use crate::server::{control_payload, resolve, Inner};
 
 /// Read-buffer soft cap per connection: past this the reactor stops
 /// reading (TCP backpressure) until the backlog drains, so a peer that
 /// floods pipelined requests cannot balloon server memory.
 const RBUF_SOFT_CAP: usize = 256 * 1024;
 
-/// One queued `RUN`/`RUNB` resolve.
+/// One queued `RUNB` resolve.
 struct DispatchJob {
     slot: usize,
     gen: u64,
-    binary: bool,
     key_text: String,
     t0: Instant,
 }
@@ -96,32 +102,24 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
                 queue = shared.available.wait(queue).unwrap();
             }
         };
+        if let Some(delay) = inner.chaos.as_ref().and_then(Chaos::delay) {
+            std::thread::sleep(delay);
+        }
         // resolve() already converts simulation panics into Err; the
-        // outer guard is for the truly unexpected (e.g. a poisoned
-        // cache mutex) so a worker never dies and strands the reactor.
+        // outer guard catches the chaos leader-kill and the truly
+        // unexpected (e.g. a poisoned cache mutex), so a worker never
+        // dies and strands the reactor.
         let response = match catch_unwind(AssertUnwindSafe(|| resolve(inner, &job.key_text))) {
-            Ok(Ok(result)) => {
-                if job.binary {
-                    Response::OkBin(sim::codec::encode_cell(&result))
-                } else {
-                    Response::Ok {
-                        kind: result.kind().into(),
-                        payload: result.payload(),
-                    }
-                }
-            }
+            Ok(Ok(result)) => Response::OkBin(sim::codec::encode_cell(&result)),
             Ok(Err(reason)) => Response::Err(reason),
             Err(_) => Response::Err("simulation worker panicked".into()),
         };
+        let m = &inner.metrics;
         if matches!(response, Response::Err(_)) {
-            inner.counters.errors.fetch_add(1, Ordering::Relaxed);
+            m.errors.inc();
         }
-        let hist = if job.binary {
-            &inner.hist.runb
-        } else {
-            &inner.hist.run
-        };
-        hist.record(job.t0.elapsed());
+        m.run_requests.inc();
+        m.lat_runb.record(job.t0.elapsed());
         shared.done.lock().unwrap().push(DispatchDone {
             slot: job.slot,
             gen: job.gen,
@@ -142,11 +140,14 @@ struct Conn {
     /// Serialized responses not yet written, from `wpos` on.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// A `RUN`/`RUNB` is with the dispatch pool; no further requests
-    /// are parsed until it completes (per-connection ordering).
+    /// A `RUNB` is with the dispatch pool; no further requests are
+    /// parsed until it completes (per-connection ordering).
     busy: bool,
     /// Peer EOF seen (or shutdown): finish writing, then close.
     closing: bool,
+    /// The chaos `trunc` fault cut a frame: flush what is left of it,
+    /// then shut the socket down. Nothing more is read or answered.
+    cut: bool,
 }
 
 impl Conn {
@@ -154,15 +155,25 @@ impl Conn {
         self.wpos >= self.wbuf.len()
     }
 
-    fn push_response(&mut self, response: &Response) {
+    /// Whether the connection reads and parses further requests.
+    fn wants_input(&self) -> bool {
+        !self.busy && !self.closing && !self.cut
+    }
+
+    fn push_response(&mut self, response: &Response, chaos: Option<&Chaos>) {
+        let start = self.wbuf.len();
         // Writing into a Vec cannot fail.
         write_response(&mut self.wbuf, response).expect("vec write");
+        if chaos.is_some_and(Chaos::truncate_write) {
+            self.wbuf.truncate(start + (self.wbuf.len() - start) / 2);
+            self.cut = true;
+        }
     }
 }
 
 /// The poll-readiness accept/serve loop. Returns after a `SHUTDOWN`
-/// drain, like the threaded `Server::serve`.
-pub(crate) fn serve_event_driven(listener: TcpListener, inner: Arc<Inner>) -> io::Result<()> {
+/// drain.
+pub(crate) fn serve(listener: TcpListener, inner: Arc<Inner>) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let shared = Arc::new(DispatchShared {
         queue: Mutex::new(VecDeque::new()),
@@ -219,28 +230,26 @@ impl Reactor {
         let mut fds: Vec<PollFd> = Vec::new();
         let mut polled_slots: Vec<usize> = Vec::new();
         loop {
-            // A SHUTDOWN may also arrive via the threaded path's flag
-            // (e.g. an embedder); honor it regardless of which
-            // connection carried the verb.
-            if self.inner.shutting_down.load(Ordering::SeqCst) {
-                self.accepting = false;
-                let drained =
-                    self.jobs_in_flight == 0 && self.conns.iter().flatten().all(|c| c.flushed());
-                if drained {
-                    return Ok(());
-                }
+            // After a SHUTDOWN: exit once every job is answered and
+            // every answer is flushed.
+            if !self.accepting
+                && self.jobs_in_flight == 0
+                && self.conns.iter().flatten().all(|c| c.flushed())
+            {
+                return Ok(());
             }
 
             fds.clear();
             polled_slots.clear();
             fds.push(PollFd::new(self.shared.wake.fd(), POLLIN));
-            if self.accepting {
+            let listening = self.accepting;
+            if listening {
                 fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             }
             for (slot, conn) in self.conns.iter().enumerate() {
                 let Some(c) = conn else { continue };
                 let mut events = 0i16;
-                if !c.busy && !c.closing && c.rbuf.len() < RBUF_SOFT_CAP {
+                if c.wants_input() && c.rbuf.len() < RBUF_SOFT_CAP {
                     events |= POLLIN;
                 }
                 if !c.flushed() {
@@ -258,7 +267,9 @@ impl Reactor {
             for done in self.shared.take_done() {
                 self.handle_done(done);
             }
-            let conn_fds_start = if self.accepting {
+            // Index by what was polled: a SHUTDOWN handled just above
+            // may have stopped accepting since.
+            let conn_fds_start = if listening {
                 if fds[1].returned(POLLIN) {
                     self.accept_ready();
                 }
@@ -282,8 +293,16 @@ impl Reactor {
                         continue; // raced a shutdown: hang up
                     }
                     if self.live_connections() >= self.inner.max_conns {
-                        self.inner.rejected_conns.fetch_add(1, Ordering::Relaxed);
+                        self.inner.metrics.rejected_conns.inc();
                         continue; // at capacity: hang up without a byte
+                    }
+                    if self
+                        .inner
+                        .chaos
+                        .as_ref()
+                        .is_some_and(Chaos::drop_connection)
+                    {
+                        continue; // the drop fault: hang up without a byte
                     }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -298,6 +317,7 @@ impl Reactor {
                         wpos: 0,
                         busy: false,
                         closing: false,
+                        cut: false,
                     };
                     let slot = match self.free.pop() {
                         Some(slot) => {
@@ -310,8 +330,9 @@ impl Reactor {
                         }
                     };
                     self.inner
+                        .metrics
                         .connections
-                        .store(self.live_connections(), Ordering::Relaxed);
+                        .set(self.live_connections() as i64);
                     let _ = slot;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -331,7 +352,7 @@ impl Reactor {
         self.jobs_in_flight -= 1;
         let stale = match self.conns[done.slot].as_mut() {
             Some(c) if c.gen == done.gen => {
-                c.push_response(&done.response);
+                c.push_response(&done.response, self.inner.chaos.as_ref());
                 c.busy = false;
                 false
             }
@@ -355,8 +376,9 @@ impl Reactor {
         } else {
             self.free.push(slot);
             self.inner
+                .metrics
                 .connections
-                .store(self.live_connections(), Ordering::Relaxed);
+                .set(self.live_connections() as i64);
         }
     }
 
@@ -364,7 +386,7 @@ impl Reactor {
         if revents & (POLLERR | POLLNVAL) != 0 {
             return false;
         }
-        if revents & (POLLIN | POLLHUP) != 0 && !c.busy && !c.closing && !read_some(c) {
+        if revents & (POLLIN | POLLHUP) != 0 && c.wants_input() && !read_some(c) {
             return false;
         }
         if !self.advance(c, slot) {
@@ -373,16 +395,20 @@ impl Reactor {
         if !flush_some(c) {
             return false;
         }
+        if c.cut && c.flushed() {
+            let _ = c.stream.shutdown(Shutdown::Both);
+            return false;
+        }
         // A closed peer with nothing pending: release the slot.
         !(c.closing && !c.busy && c.flushed())
     }
 
     /// Consume complete request lines until the connection goes busy or
     /// runs out of input. Returns false when the connection must close
-    /// (oversized line / non-UTF-8 — the same conditions that error the
-    /// threaded path's `read_line`).
+    /// (oversized line / non-UTF-8 — the same conditions that error
+    /// [`crate::protocol::read_line`]).
     fn advance(&mut self, c: &mut Conn, slot: usize) -> bool {
-        while !c.busy {
+        while !c.busy && !c.cut {
             let window = c.rbuf.len().min(MAX_LINE as usize);
             let Some(nl) = c.rbuf[..window].iter().position(|&b| b == b'\n') else {
                 // No complete line: fine mid-stream, fatal past the cap
@@ -398,63 +424,34 @@ impl Reactor {
                 return false;
             };
             let t0 = Instant::now();
-            let inner = &self.inner;
-            inner.counters.requests.fetch_add(1, Ordering::Relaxed);
+            self.inner.metrics.requests.inc();
+            let chaos = self.inner.chaos.as_ref();
             match parse_request(&line) {
-                Ok(Request::Ping) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: "pong".into(),
-                    });
-                    inner.hist.ping.record(t0.elapsed());
+                Ok(Request::RunBin(key_text)) => self.dispatch(c, slot, key_text, t0),
+                Ok(req) => {
+                    c.push_response(&Response::Ok(control_payload(&self.inner, &req)), chaos);
+                    if let Some(hist) = self.inner.metrics.latency(&req) {
+                        hist.record(t0.elapsed());
+                    }
+                    if req == Request::Shutdown {
+                        self.accepting = false;
+                    }
                 }
-                Ok(Request::Stats) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: stats_payload(inner),
-                    });
-                    inner.hist.stats.record(t0.elapsed());
-                }
-                Ok(Request::Health) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: render_health(inner),
-                    });
-                    inner.hist.health.record(t0.elapsed());
-                }
-                Ok(Request::Metrics) => {
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: metrics_payload(inner),
-                    });
-                    inner.hist.metrics.record(t0.elapsed());
-                }
-                Ok(Request::Shutdown) => {
-                    inner.shutting_down.store(true, Ordering::SeqCst);
-                    self.accepting = false;
-                    c.push_response(&Response::Ok {
-                        kind: "text".into(),
-                        payload: "draining".into(),
-                    });
-                }
-                Ok(Request::Run(key_text)) => self.dispatch(c, slot, key_text, false, t0),
-                Ok(Request::RunBin(key_text)) => self.dispatch(c, slot, key_text, true, t0),
                 Err(reason) => {
-                    inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    c.push_response(&Response::Err(reason));
+                    self.inner.metrics.errors.inc();
+                    c.push_response(&Response::Err(reason), chaos);
                 }
             }
         }
         true
     }
 
-    fn dispatch(&mut self, c: &mut Conn, slot: usize, key_text: String, binary: bool, t0: Instant) {
+    fn dispatch(&mut self, c: &mut Conn, slot: usize, key_text: String, t0: Instant) {
         c.busy = true;
         self.jobs_in_flight += 1;
         self.shared.submit(DispatchJob {
             slot,
             gen: c.gen,
-            binary,
             key_text,
             t0,
         });

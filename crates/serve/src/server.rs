@@ -1,7 +1,7 @@
 //! The `qprac-serve` daemon: a std-only TCP service that resolves
 //! simulation cells by canonical [`RunKey`] text.
 //!
-//! Every `RUN <key>` request walks a three-tier path:
+//! Every `RUNB <key>` request walks a three-tier path:
 //!
 //! 1. **Memory** — an entry-capped LRU of `Arc`-shared results;
 //! 2. **Disk** — the persistent [`sim::RunCache`] (same files, same
@@ -12,29 +12,31 @@
 //!    single-flight coalescing so N concurrent requests for the same
 //!    key trigger exactly one run.
 //!
-//! Two serve loops share that resolve path. The default on unix is the
-//! event-driven poll-readiness core ([`crate::reactor`]): one event
-//! loop plus a fixed dispatch pool, so thousands of idle connections
-//! cost buffers, not OS threads. Chaos injection (blocking-stream
-//! fault wrappers), `QPRAC_SERVE_THREADED=1`, and non-unix targets use
-//! the legacy thread-per-connection loop. Either way the semaphore is
-//! what actually bounds simulation parallelism, so a thousand clients
-//! asking for twelve distinct cells produce at most `workers`
+//! One serve loop runs everything: the poll-readiness core in
+//! [`crate::reactor`], one event loop plus a fixed dispatch pool, so
+//! thousands of idle connections cost buffers, not OS threads. Armed
+//! fault injection (`QPRAC_CHAOS`) runs inside that same loop. The
+//! semaphore is what bounds simulation parallelism, so a thousand
+//! clients asking for twelve distinct cells produce at most `workers`
 //! concurrent simulations and zero duplicates.
+//!
+//! Every counter, gauge and latency histogram lives in the server's own
+//! [`Registry`]; `STATS`, `HEALTH` and `METRICS` are three renderings
+//! of one [`Snapshot`].
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use qprac_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use sim::{CellResult, RunCache, RunKey};
 
-use crate::chaos::{Chaos, ChaosSpec, ChaosStream};
-use crate::histogram::VerbHistograms;
+use crate::chaos::{Chaos, ChaosSpec, CHAOS_COUNTERS};
 use crate::memcache::LruCache;
-use crate::protocol::{parse_request, read_line, write_response, Request, Response};
+use crate::protocol::Request;
 use crate::singleflight::Group;
 
 /// Default listen address of the daemon.
@@ -61,30 +63,16 @@ pub struct ServerConfig {
     /// Concurrent-connection ceiling: past it, new connections are
     /// refused at accept (hang-up, no bytes) and counted.
     pub max_conns: usize,
-    /// Force the legacy thread-per-connection loop even where the
-    /// event-driven core is available (`QPRAC_SERVE_THREADED=1`).
-    /// Chaos injection always implies it — the fault wrappers are
-    /// blocking-stream shaped.
-    pub threaded: bool,
-    /// Connect timeout for the `SHUTDOWN` self-wake dial in the
-    /// threaded loop (the configured client timeout, not a hardcoded
-    /// constant).
-    pub wake_timeout: Duration,
 }
 
 impl ServerConfig {
     /// Environment-driven configuration: `QPRAC_SERVE_LRU`,
     /// `QPRAC_JOBS` (same knob as the bench pool; 0/unset = machine
     /// parallelism), `QPRAC_RUN_CACHE`/`QPRAC_RUN_CACHE_MAX_MB`,
-    /// `QPRAC_CHAOS` (seeded fault injection, tests/CI only),
-    /// `QPRAC_SERVE_MAX_CONNS` (connection ceiling),
-    /// `QPRAC_SERVE_THREADED` (opt out of the event-driven core), and
-    /// `QPRAC_REMOTE_TIMEOUT_MS` (shared with the client; also the
-    /// `SHUTDOWN` self-wake dial timeout).
+    /// `QPRAC_CHAOS` (seeded fault injection, tests/CI only) and
+    /// `QPRAC_SERVE_MAX_CONNS` (connection ceiling).
     pub fn from_env() -> Self {
-        let available = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(8);
+        let available = ServerConfig::default().workers;
         let jobs = sim::env_usize("QPRAC_JOBS", 0);
         ServerConfig {
             lru_entries: sim::env_usize("QPRAC_SERVE_LRU", DEFAULT_LRU_ENTRIES),
@@ -96,8 +84,6 @@ impl ServerConfig {
             disk: RunCache::from_env(),
             chaos: ChaosSpec::from_env(),
             max_conns: sim::env_usize("QPRAC_SERVE_MAX_CONNS", DEFAULT_MAX_CONNS),
-            threaded: sim::env_usize("QPRAC_SERVE_THREADED", 0) != 0,
-            wake_timeout: crate::client::timeout_from_env(),
         }
     }
 }
@@ -112,51 +98,108 @@ impl Default for ServerConfig {
             disk: RunCache::disabled(),
             chaos: None,
             max_conns: DEFAULT_MAX_CONNS,
-            threaded: false,
-            wake_timeout: crate::client::DEFAULT_TIMEOUT,
         }
     }
 }
 
-/// Monotonic service counters, readable via the `STATS` request.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// Verbs with a latency histogram (`qprac_lat_<verb>_us`), in `STATS`
+/// render order.
+const VERBS: [&str; 5] = ["runb", "stats", "health", "ping", "metrics"];
+
+/// `STATS` keys and the registry metric behind each, in render order.
+const STATS_FIELDS: [(&str, &str); 9] = [
+    ("requests", "qprac_requests_total"),
+    ("mem_hits", "qprac_mem_hits_total"),
+    ("disk_hits", "qprac_disk_hits_total"),
+    ("simulated", "qprac_simulated_total"),
+    ("coalesced", "qprac_coalesced_total"),
+    ("errors", "qprac_errors_total"),
+    // Keys naming a mitigation this build does not register: the
+    // version-skew signal (a subset of `errors`).
+    ("unknown_mitigation", "qprac_unknown_mitigation_total"),
+    ("store_errors", "qprac_store_errors_total"),
+    ("in_flight", "qprac_in_flight"),
+];
+
+/// `HEALTH` keys after `status`, and the registry metric behind each.
+const HEALTH_FIELDS: [(&str, &str); 8] = [
+    ("uptime_ms", "qprac_uptime_ms"),
+    ("workers", "qprac_workers"),
+    ("active", "qprac_active"),
+    ("queue_depth", "qprac_queue_depth"),
+    ("in_flight", "qprac_in_flight"),
+    ("connections", "qprac_connections"),
+    ("max_conns", "qprac_max_conns"),
+    ("rejected_conns", "qprac_rejected_conns_total"),
+];
+
+/// Handles into the server's registry, fetched once at bind so no
+/// request looks a metric up by name.
+pub(crate) struct Metrics {
+    registry: Registry,
     /// Requests received (all verbs).
-    pub requests: AtomicU64,
-    /// `RUN`s answered from the in-memory LRU.
-    pub mem_hits: AtomicU64,
-    /// `RUN`s answered from the persistent disk cache.
-    pub disk_hits: AtomicU64,
-    /// Cells actually simulated.
-    pub simulated: AtomicU64,
-    /// `RUN`s coalesced onto another request's in-flight simulation.
-    pub coalesced: AtomicU64,
+    pub(crate) requests: Counter,
+    /// `RUNB` resolves answered (what a load test accounts exactly).
+    pub(crate) run_requests: Counter,
+    pub(crate) mem_hits: Counter,
+    pub(crate) disk_hits: Counter,
+    pub(crate) simulated: Counter,
+    /// Resolves coalesced onto another request's in-flight simulation.
+    pub(crate) coalesced: Counter,
     /// Requests answered with `ERR`.
-    pub errors: AtomicU64,
-    /// `RUN`s naming a mitigation this build does not register — the
-    /// forward-compatibility signal that a newer peer is in the fleet
-    /// (a subset of `errors`, counted separately so operators can tell
-    /// version skew from garbage input).
-    pub unknown_mitigation: AtomicU64,
-    /// `SHUTDOWN` self-wake dials that failed (threaded loop only; the
-    /// drain still completes — accept() observes the flag on the next
-    /// connection — but a nonzero count flags a wedged listener).
-    pub wake_failures: AtomicU64,
+    pub(crate) errors: Counter,
+    pub(crate) unknown_mitigation: Counter,
+    /// Connections refused at the `max_conns` ceiling.
+    pub(crate) rejected_conns: Counter,
+    /// Currently open connections.
+    pub(crate) connections: Gauge,
+    /// Resolves in progress, queued on the worker semaphore included.
+    active: Gauge,
+    pub(crate) lat_runb: Arc<Histogram>,
+    lat_stats: Arc<Histogram>,
+    lat_health: Arc<Histogram>,
+    lat_ping: Arc<Histogram>,
+    lat_metrics: Arc<Histogram>,
 }
 
-impl Counters {
-    fn render(&self, in_flight: usize, store_errors: u64) -> String {
-        format!(
-            "requests={}\nmem_hits={}\ndisk_hits={}\nsimulated={}\ncoalesced={}\nerrors={}\nunknown_mitigation={}\nwake_failures={}\nstore_errors={store_errors}\nin_flight={in_flight}",
-            self.requests.load(Ordering::Relaxed),
-            self.mem_hits.load(Ordering::Relaxed),
-            self.disk_hits.load(Ordering::Relaxed),
-            self.simulated.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.unknown_mitigation.load(Ordering::Relaxed),
-            self.wake_failures.load(Ordering::Relaxed),
-        )
+impl Metrics {
+    fn new(workers: usize, max_conns: usize) -> Metrics {
+        let registry = Registry::new();
+        registry.gauge("qprac_workers").set(workers as i64);
+        registry.gauge("qprac_max_conns").set(max_conns as i64);
+        let counter = |name: &str| registry.counter(&format!("qprac_{name}_total"));
+        let lat = |verb: &str| registry.histogram(&format!("qprac_lat_{verb}_us"));
+        Metrics {
+            requests: counter("requests"),
+            run_requests: counter("run_requests"),
+            mem_hits: counter("mem_hits"),
+            disk_hits: counter("disk_hits"),
+            simulated: counter("simulated"),
+            coalesced: counter("coalesced"),
+            errors: counter("errors"),
+            unknown_mitigation: counter("unknown_mitigation"),
+            rejected_conns: counter("rejected_conns"),
+            connections: registry.gauge("qprac_connections"),
+            active: registry.gauge("qprac_active"),
+            lat_runb: lat("runb"),
+            lat_stats: lat("stats"),
+            lat_health: lat("health"),
+            lat_ping: lat("ping"),
+            lat_metrics: lat("metrics"),
+            registry,
+        }
+    }
+
+    /// The latency histogram of a control verb (`SHUTDOWN` has none).
+    pub(crate) fn latency(&self, req: &Request) -> Option<&Histogram> {
+        match req {
+            Request::RunBin(_) => Some(&self.lat_runb),
+            Request::Stats => Some(&self.lat_stats),
+            Request::Health => Some(&self.lat_health),
+            Request::Ping => Some(&self.lat_ping),
+            Request::Metrics => Some(&self.lat_metrics),
+            Request::Shutdown => None,
+        }
     }
 }
 
@@ -173,28 +216,14 @@ pub(crate) struct Inner {
     flights: Group<RunKey, Result<Arc<CellResult>, String>>,
     workers: Semaphore,
     pub(crate) worker_count: usize,
-    pub(crate) counters: Counters,
     stores: AtomicU64,
-    chaos: Option<Chaos>,
+    pub(crate) chaos: Option<Chaos>,
     start: Instant,
-    addr: SocketAddr,
     /// Set by `SHUTDOWN`: stop accepting, drain, exit [`Server::serve`].
-    pub(crate) shutting_down: AtomicBool,
-    /// `RUN`/`RUNB` requests currently being resolved (queue depth on
-    /// top of the worker bound; what `SHUTDOWN` drains).
-    active: AtomicUsize,
-    /// Per-verb latency histograms (rendered in `STATS`/`HEALTH`).
-    pub(crate) hist: VerbHistograms,
-    /// Concurrent-connection ceiling (both serve loops enforce it).
+    shutting_down: AtomicBool,
+    /// Concurrent-connection ceiling.
     pub(crate) max_conns: usize,
-    /// Currently open connections (a gauge, for `HEALTH`).
-    pub(crate) connections: AtomicUsize,
-    /// Connections refused at the [`Self::max_conns`] ceiling.
-    pub(crate) rejected_conns: AtomicU64,
-    /// Force the thread-per-connection loop.
-    threaded: bool,
-    /// `SHUTDOWN` self-wake dial timeout (threaded loop).
-    wake_timeout: Duration,
+    pub(crate) metrics: Metrics,
 }
 
 impl Server {
@@ -202,28 +231,23 @@ impl Server {
     /// ephemeral test port).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let workers = config.workers.max(1);
+        let max_conns = config.max_conns.max(1);
+        let metrics = Metrics::new(workers, max_conns);
         Ok(Server {
             listener,
             inner: Arc::new(Inner {
                 lru: Mutex::new(LruCache::new(config.lru_entries)),
                 disk: config.disk,
                 flights: Group::new(Err("simulation worker panicked".into())),
-                workers: Semaphore::new(config.workers.max(1)),
-                worker_count: config.workers.max(1),
-                counters: Counters::default(),
+                workers: Semaphore::new(workers),
+                worker_count: workers,
                 stores: AtomicU64::new(0),
-                chaos: config.chaos.map(Chaos::new),
+                chaos: config.chaos.map(|spec| Chaos::new(spec, &metrics.registry)),
                 start: Instant::now(),
-                addr,
                 shutting_down: AtomicBool::new(false),
-                active: AtomicUsize::new(0),
-                hist: VerbHistograms::default(),
-                max_conns: config.max_conns.max(1),
-                connections: AtomicUsize::new(0),
-                rejected_conns: AtomicU64::new(0),
-                threaded: config.threaded,
-                wake_timeout: config.wake_timeout,
+                max_conns,
+                metrics,
             }),
         })
     }
@@ -238,52 +262,21 @@ impl Server {
     /// returns `Ok` — so the daemon can exit cleanly instead of being
     /// killed mid-simulation.
     ///
-    /// On unix this runs the event-driven poll-readiness core
-    /// ([`crate::reactor`]): one event-loop thread plus a fixed
-    /// dispatch pool, so idle connections cost buffers, not OS
-    /// threads. Chaos injection, `QPRAC_SERVE_THREADED`, and non-unix
-    /// targets fall back to the legacy thread-per-connection loop
-    /// (the chaos fault wrappers are blocking-stream shaped).
+    /// Runs the poll-readiness core ([`crate::reactor`]): one event-loop
+    /// thread plus a fixed dispatch pool.
+    #[cfg(unix)]
     pub fn serve(self) -> io::Result<()> {
-        #[cfg(unix)]
-        if !self.inner.threaded && self.inner.chaos.is_none() {
-            return crate::reactor::serve_event_driven(self.listener, self.inner);
-        }
-        self.serve_threaded()
+        crate::reactor::serve(self.listener, self.inner)
     }
 
-    /// The legacy accept loop: one thread per connection.
-    fn serve_threaded(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.inner.shutting_down.load(Ordering::SeqCst) {
-                break; // the wake-up dial from the SHUTDOWN handler
-            }
-            let stream = stream?;
-            if self.inner.connections.load(Ordering::SeqCst) >= self.inner.max_conns {
-                self.inner.rejected_conns.fetch_add(1, Ordering::Relaxed);
-                continue; // at capacity: hang up without a byte
-            }
-            self.inner.connections.fetch_add(1, Ordering::SeqCst);
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || {
-                // Decrement on unwind too: the chaos leader-kill panics
-                // straight through the connection handler.
-                struct ConnGauge<'a>(&'a AtomicUsize);
-                impl Drop for ConnGauge<'_> {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let _gauge = ConnGauge(&inner.connections);
-                handle_connection(&inner, stream);
-            });
-        }
-        // Drain: every RUN in progress (including queued ones waiting
-        // on the worker semaphore) completes before we return.
-        while self.inner.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(())
+    /// The server needs poll(2): on non-unix targets this returns
+    /// [`io::ErrorKind::Unsupported`].
+    #[cfg(not(unix))]
+    pub fn serve(self) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "qprac-serve needs poll(2), which only unix targets provide",
+        ))
     }
 
     /// Start serving on a detached background thread and return the
@@ -298,252 +291,130 @@ impl Server {
     }
 }
 
-fn handle_connection(inner: &Inner, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // With chaos armed, the connection may be dropped at accept and all
-    // traffic flows through the fault-injecting stream wrapper.
-    if let Some(chaos) = &inner.chaos {
-        if chaos.drop_connection() {
-            return; // the fault: hang up without a byte
+/// Answer a control verb (anything but `RUNB`) with its text payload.
+/// `SHUTDOWN` flags the drain; the reactor stops accepting.
+pub(crate) fn control_payload(inner: &Inner, req: &Request) -> String {
+    match req {
+        Request::Ping => "pong".into(),
+        Request::Stats => render_stats(&snapshot(inner)),
+        Request::Health => render_health(inner, &snapshot(inner)),
+        Request::Metrics => snapshot(inner).render_prometheus(),
+        Request::Shutdown => {
+            inner.shutting_down.store(true, Ordering::SeqCst);
+            "draining".into()
         }
-        serve_streams(
-            inner,
-            BufReader::new(ChaosStream::new(read_half, chaos)),
-            BufWriter::new(ChaosStream::new(stream, chaos)),
-        );
-    } else {
-        serve_streams(inner, BufReader::new(read_half), BufWriter::new(stream));
+        Request::RunBin(_) => unreachable!("RUNB is resolved on the dispatch pool"),
     }
 }
 
-fn serve_streams(inner: &Inner, mut reader: impl BufRead, mut writer: impl Write) {
-    loop {
-        // I/O or framing failure (including EOF mid-line from a client
-        // that died) closes the connection; nothing to answer.
-        let Ok(line) = read_line(&mut reader) else {
-            return;
-        };
-        let Some(line) = line else { return }; // clean EOF
-        inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let parsed = parse_request(&line);
-        let verb_hist = match &parsed {
-            Ok(Request::Ping) => Some(&inner.hist.ping),
-            Ok(Request::Stats) => Some(&inner.hist.stats),
-            Ok(Request::Health) => Some(&inner.hist.health),
-            Ok(Request::Metrics) => Some(&inner.hist.metrics),
-            Ok(Request::Run(_)) => Some(&inner.hist.run),
-            Ok(Request::RunBin(_)) => Some(&inner.hist.runb),
-            _ => None,
-        };
-        let response = match parsed {
-            Ok(Request::Ping) => Response::Ok {
-                kind: "text".into(),
-                payload: "pong".into(),
-            },
-            Ok(Request::Stats) => Response::Ok {
-                kind: "text".into(),
-                payload: stats_payload(inner),
-            },
-            Ok(Request::Health) => Response::Ok {
-                kind: "text".into(),
-                payload: render_health(inner),
-            },
-            Ok(Request::Metrics) => Response::Ok {
-                kind: "text".into(),
-                payload: metrics_payload(inner),
-            },
-            Ok(Request::Shutdown) => {
-                inner.shutting_down.store(true, Ordering::SeqCst);
-                // Wake the accept loop so it observes the flag; the
-                // dial needs no payload, accept alone unblocks it. It
-                // respects the configured client timeout, and a failed
-                // dial is counted — the drain still completes on the
-                // next natural accept, but the stall is observable.
-                if TcpStream::connect_timeout(&inner.addr, inner.wake_timeout).is_err() {
-                    inner.counters.wake_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                Response::Ok {
-                    kind: "text".into(),
-                    payload: "draining".into(),
-                }
-            }
-            Ok(Request::Run(key_text)) => match resolve(inner, &key_text) {
-                Ok(result) => Response::Ok {
-                    kind: result.kind().into(),
-                    payload: result.payload(),
-                },
-                Err(reason) => Response::Err(reason),
-            },
-            // Same resolve path, binary cell frame on the wire: warm
-            // hits travel and decode without any text parsing.
-            Ok(Request::RunBin(key_text)) => match resolve(inner, &key_text) {
-                Ok(result) => Response::OkBin(sim::codec::encode_cell(&result)),
-                Err(reason) => Response::Err(reason),
-            },
-            // A malformed *line* is recoverable: answer ERR and keep
-            // reading — the stream is still newline-aligned.
-            Err(reason) => Response::Err(reason),
-        };
-        if matches!(response, Response::Err(_)) {
-            inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(hist) = verb_hist {
-            hist.record(t0.elapsed());
-        }
-        if write_response(&mut writer, &response).is_err() {
-            return; // peer went away (e.g. a truncated request)
-        }
-    }
-}
-
-/// The `STATS` payload: monotonic counters plus per-verb latency
-/// quantiles.
-pub(crate) fn stats_payload(inner: &Inner) -> String {
-    let mut text = inner
-        .counters
-        .render(inner.flights.in_flight(), inner.disk.failed_stores());
-    inner.hist.render(&mut text);
-    text
-}
-
-/// The `HEALTH` payload: liveness plus the load signals a
-/// failover-aware client routes on.
-pub(crate) fn render_health(inner: &Inner) -> String {
-    let active = inner.active.load(Ordering::SeqCst);
-    let mut text = format!(
-        "status={}\nuptime_ms={}\nworkers={}\nactive={active}\nqueue_depth={}\nin_flight={}\nconnections={}\nmax_conns={}\nrejected_conns={}",
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            "draining"
-        } else {
-            "ok"
-        },
-        inner.start.elapsed().as_millis(),
-        inner.worker_count,
-        active.saturating_sub(inner.worker_count),
-        inner.flights.in_flight(),
-        inner.connections.load(Ordering::SeqCst),
-        inner.max_conns,
-        inner.rejected_conns.load(Ordering::Relaxed),
+/// The server's exported state: the registry plus the values derived
+/// at read time (in-flight flights, queue depth, uptime, store errors).
+pub(crate) fn snapshot(inner: &Inner) -> Snapshot {
+    let mut snap = inner.metrics.registry.snapshot();
+    snap.counters.insert(
+        "qprac_store_errors_total".into(),
+        inner.disk.failed_stores(),
     );
-    inner.hist.render(&mut text);
-    if let Some(chaos) = &inner.chaos {
-        text.push('\n');
-        text.push_str(&chaos.render());
-    }
-    text
-}
-
-/// The `METRICS` payload: the same counters, gauges and histograms as
-/// `STATS`/`HEALTH`, frozen into an [`qprac_obs::Snapshot`] and
-/// rendered in Prometheus text exposition format. Building the
-/// snapshot from the *same* atomics and the same `HistSnapshot` write
-/// path the `name=value` renderers use is what keeps the two
-/// expositions from ever drifting.
-pub(crate) fn metrics_payload(inner: &Inner) -> String {
-    metrics_snapshot(inner).render_prometheus()
-}
-
-/// The server's exported state as a mergeable snapshot.
-pub(crate) fn metrics_snapshot(inner: &Inner) -> qprac_obs::Snapshot {
-    let c = &inner.counters;
-    let mut snap = qprac_obs::Snapshot::default();
-    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let active = inner.metrics.active.get();
     for (name, value) in [
-        ("qprac_requests_total", load(&c.requests)),
-        // Cell resolves only (RUN + RUNB): what a load test can account
-        // for exactly, scrape-to-scrape.
-        (
-            "qprac_run_requests_total",
-            inner.hist.run.count() + inner.hist.runb.count(),
-        ),
-        ("qprac_mem_hits_total", load(&c.mem_hits)),
-        ("qprac_disk_hits_total", load(&c.disk_hits)),
-        ("qprac_simulated_total", load(&c.simulated)),
-        ("qprac_coalesced_total", load(&c.coalesced)),
-        ("qprac_errors_total", load(&c.errors)),
-        (
-            "qprac_unknown_mitigation_total",
-            load(&c.unknown_mitigation),
-        ),
-        ("qprac_wake_failures_total", load(&c.wake_failures)),
-        ("qprac_store_errors_total", inner.disk.failed_stores()),
-        ("qprac_rejected_conns_total", load(&inner.rejected_conns)),
-    ] {
-        snap.counters.insert(name.to_string(), value);
-    }
-    let active = inner.active.load(Ordering::SeqCst);
-    for (name, value) in [
-        (
-            "qprac_connections",
-            inner.connections.load(Ordering::SeqCst) as i64,
-        ),
         ("qprac_in_flight", inner.flights.in_flight() as i64),
-        ("qprac_active", active as i64),
         (
             "qprac_queue_depth",
-            active.saturating_sub(inner.worker_count) as i64,
+            (active - inner.worker_count as i64).max(0),
         ),
-        ("qprac_workers", inner.worker_count as i64),
         ("qprac_uptime_ms", inner.start.elapsed().as_millis() as i64),
         (
             "qprac_draining",
             inner.shutting_down.load(Ordering::SeqCst) as i64,
         ),
     ] {
-        snap.gauges.insert(name.to_string(), value);
-    }
-    for (verb, hist) in inner.hist.verbs() {
-        snap.hists
-            .insert(format!("qprac_lat_{verb}_us"), hist.snapshot());
+        snap.gauges.insert(name.into(), value);
     }
     snap
 }
 
-/// Panic-safe tally of resolves in progress ([`Inner::active`]): the
-/// chaos leader-kill unwinds straight through `resolve`, and a stuck
-/// counter would wedge the `SHUTDOWN` drain loop forever.
-struct ActiveGuard<'a>(&'a AtomicUsize);
+/// Append `\n<key>=<value>` per field (a counter or a gauge of `snap`).
+fn render_fields(snap: &Snapshot, fields: &[(&str, &str)], out: &mut String) {
+    for (key, name) in fields {
+        let value = match snap.counters.get(*name) {
+            Some(v) => v.to_string(),
+            None => snap.gauge(name).to_string(),
+        };
+        out.push_str(&format!("\n{key}={value}"));
+    }
+}
+
+/// Append every non-empty verb's `lat_<verb>_*` lines.
+fn render_latency(snap: &Snapshot, out: &mut String) {
+    for verb in VERBS {
+        if let Some(hist) = snap.hists.get(&format!("qprac_lat_{verb}_us")) {
+            hist.render_stats(verb, out);
+        }
+    }
+}
+
+/// The `STATS` payload: monotonic counters plus per-verb latency
+/// quantiles.
+fn render_stats(snap: &Snapshot) -> String {
+    let mut text = String::new();
+    render_fields(snap, &STATS_FIELDS, &mut text);
+    render_latency(snap, &mut text);
+    text.split_off(1) // every field line starts with '\n'
+}
+
+/// The `HEALTH` payload: liveness plus the load signals a
+/// failover-aware client routes on, and fired faults when chaos is
+/// armed.
+fn render_health(inner: &Inner, snap: &Snapshot) -> String {
+    let draining = snap.gauge("qprac_draining") != 0;
+    let mut text = format!("status={}", if draining { "draining" } else { "ok" });
+    render_fields(snap, &HEALTH_FIELDS, &mut text);
+    render_latency(snap, &mut text);
+    if inner.chaos.is_some() {
+        render_fields(snap, &CHAOS_COUNTERS, &mut text);
+    }
+    text
+}
+
+/// Panic-safe tally of resolves in progress: the chaos leader-kill
+/// unwinds straight through `resolve`, and a stuck gauge would report
+/// phantom load forever.
+struct ActiveGuard<'a>(&'a Gauge);
 
 impl<'a> ActiveGuard<'a> {
-    fn enter(count: &'a AtomicUsize) -> Self {
-        count.fetch_add(1, Ordering::SeqCst);
-        ActiveGuard(count)
+    fn enter(gauge: &'a Gauge) -> Self {
+        gauge.add(1);
+        ActiveGuard(gauge)
     }
 }
 
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.0.add(-1);
     }
 }
 
 /// The three-tier resolve: memory, disk, then single-flight simulate.
-/// Shared by both serve loops (thread-per-connection calls it on the
-/// connection thread, the reactor from its dispatch pool).
+/// Runs on the reactor's dispatch pool.
 pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, String> {
-    let _active = ActiveGuard::enter(&inner.active);
+    let m = &inner.metrics;
+    let _active = ActiveGuard::enter(&m.active);
     let spec = RunKey::parse_text(key_text).map_err(|e| {
         // Version-skew signal: a newer peer minted a key for a design
         // this build does not register. Counted (STATS) and answered
         // with a clean ERR the client treats as authoritative.
         if matches!(e, sim::KeyError::UnknownMitigation(_)) {
-            inner
-                .counters
-                .unknown_mitigation
-                .fetch_add(1, Ordering::Relaxed);
+            m.unknown_mitigation.inc();
         }
         e.to_string()
     })?;
     let key = spec.key();
     if let Some(hit) = inner.lru.lock().unwrap().get(&key) {
-        inner.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
+        m.mem_hits.inc();
         return Ok(hit);
     }
     if let Some(hit) = inner.disk.load(&key) {
-        inner.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+        m.disk_hits.inc();
         let hit = Arc::new(hit);
         inner.lru.lock().unwrap().insert(key, Arc::clone(&hit));
         return Ok(hit);
@@ -553,11 +424,11 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
         // this key may have published between our miss above and this
         // registration (the group only collapses concurrent work).
         if let Some(hit) = inner.lru.lock().unwrap().get(&key) {
-            inner.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
+            m.mem_hits.inc();
             return Ok(hit);
         }
         if let Some(hit) = inner.disk.load(&key) {
-            inner.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+            m.disk_hits.inc();
             return Ok(Arc::new(hit));
         }
         let _permit = inner.workers.acquire();
@@ -578,7 +449,7 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
                 format!("simulation panicked: {msg}")
             })?
             .map_err(|e| format!("cannot execute cell: {e}"))?;
-        inner.counters.simulated.fetch_add(1, Ordering::Relaxed);
+        m.simulated.inc();
         let result = Arc::new(outcome);
         if let Err(e) = inner.disk.store(&key, &result) {
             // Counted by the cache (STATS `store_errors`); the result
@@ -600,7 +471,7 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
         Ok(result)
     });
     if !led {
-        inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+        m.coalesced.inc();
     }
     result
 }
@@ -664,22 +535,76 @@ mod tests {
 
     #[test]
     fn counters_render_all_fields() {
-        let c = Counters::default();
-        c.requests.store(3, Ordering::Relaxed);
-        let text = c.render(1, 2);
-        for field in [
-            "requests=3",
-            "mem_hits=0",
-            "disk_hits=0",
-            "simulated=0",
-            "coalesced=0",
-            "errors=0",
-            "unknown_mitigation=0",
-            "wake_failures=0",
-            "store_errors=2",
-            "in_flight=1",
-        ] {
-            assert!(text.contains(field), "{field} missing from {text:?}");
+        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .inner;
+        inner.metrics.requests.add(3);
+        let text = render_stats(&snapshot(&inner));
+        let keys: Vec<&str> = text.lines().map(|l| l.split('=').next().unwrap()).collect();
+        assert_eq!(
+            keys,
+            STATS_FIELDS.map(|(key, _)| key),
+            "no latency lines before traffic: {text}"
+        );
+        assert!(text.starts_with("requests=3\n"), "{text}");
+        let health = render_health(&inner, &snapshot(&inner));
+        assert!(health.starts_with("status=ok\nuptime_ms="), "{health}");
+        assert!(
+            health.ends_with("max_conns=4096\nrejected_conns=0"),
+            "{health}"
+        );
+        // METRICS renders the same snapshot: every STATS and HEALTH
+        // field has its metric, and nothing else is exported.
+        let prom = snapshot(&inner).render_prometheus();
+        for (_, name) in STATS_FIELDS.iter().chain(&HEALTH_FIELDS) {
+            assert!(prom.contains(&format!("\n{name} ")), "{name} missing");
         }
+        let snap = snapshot(&inner);
+        let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        assert_eq!(
+            counters,
+            [
+                "qprac_coalesced_total",
+                "qprac_disk_hits_total",
+                "qprac_errors_total",
+                "qprac_mem_hits_total",
+                "qprac_rejected_conns_total",
+                "qprac_requests_total",
+                "qprac_run_requests_total",
+                "qprac_simulated_total",
+                "qprac_store_errors_total",
+                "qprac_unknown_mitigation_total",
+            ]
+        );
+        let mut hists = VERBS.map(|v| format!("qprac_lat_{v}_us")).to_vec();
+        hists.sort();
+        assert_eq!(snap.hists.keys().cloned().collect::<Vec<_>>(), hists);
+    }
+
+    #[test]
+    fn render_emits_count_and_quantiles_only_when_nonempty() {
+        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .inner;
+        let stats = || render_stats(&snapshot(&inner));
+        assert!(!stats().contains("lat_"), "no observations, no lines");
+        inner.metrics.lat_runb.record_us(100);
+        inner.metrics.lat_runb.record_us(200);
+        let text = stats();
+        assert!(text.contains("lat_runb_count=2"), "{text}");
+        assert!(text.contains("lat_runb_p50_us=127"), "{text}");
+        assert!(text.contains("lat_runb_p99_us=255"), "{text}");
+        assert!(!text.contains("lat_ping"), "{text}");
+    }
+
+    #[test]
+    fn render_includes_the_metrics_verb() {
+        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .inner;
+        let hist = inner.metrics.latency(&Request::Metrics).unwrap();
+        hist.record_us(50);
+        let text = render_health(&inner, &snapshot(&inner));
+        assert!(text.contains("lat_metrics_count=1"), "{text}");
     }
 }

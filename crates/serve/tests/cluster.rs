@@ -14,7 +14,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use qprac_serve::{Client, Server, ServerConfig};
+use qprac_serve::{ChaosSpec, Client, Server, ServerConfig};
 use sim::{MitigationKind, RunKey, SystemConfig};
 
 fn small_key(instr: u64) -> RunKey {
@@ -44,13 +44,20 @@ fn process_threads() -> usize {
         .expect("thread count")
 }
 
-/// The tentpole's headline property: one shard under the poll loop
-/// sustains ≥ 1024 concurrently-open idle connections while the
-/// process' thread count stays fixed (the event loop plus its bounded
-/// dispatch pool — no thread per connection).
+/// The headline property: one shard under the poll loop sustains
+/// ≥ 1024 concurrently-open idle connections while the process' thread
+/// count stays fixed (the event loop plus its bounded dispatch pool —
+/// no thread per connection). Armed chaos runs on the same loop.
 #[cfg(target_os = "linux")]
 #[test]
 fn poll_loop_sustains_1024_idle_connections_on_a_fixed_thread_count() {
+    for chaos in [None, Some(ChaosSpec::parse("7:delay=1/5").unwrap())] {
+        sustain_idle_connections(chaos);
+    }
+}
+
+#[cfg(target_os = "linux")]
+fn sustain_idle_connections(chaos: Option<ChaosSpec>) {
     const IDLE: usize = 1024;
     // Both socket ends live in this process: budget generously.
     let limit = qprac_serve::raise_nofile_limit(4 * IDLE as u64 + 256).expect("raise nofile");
@@ -61,6 +68,7 @@ fn poll_loop_sustains_1024_idle_connections_on_a_fixed_thread_count() {
     let config = ServerConfig {
         workers: 2,
         max_conns: 2 * IDLE,
+        chaos,
         ..ServerConfig::default()
     };
     let addr = spawn_server(config);
@@ -91,7 +99,7 @@ fn poll_loop_sustains_1024_idle_connections_on_a_fixed_thread_count() {
     assert!(
         threads_after <= threads_before + 4,
         "thread count grew {threads_before} -> {threads_after} under idle connections \
-         (thread-per-connection would add ~{IDLE})"
+         (thread-per-connection would add ~{IDLE}; chaos {chaos:?})"
     );
     drop(idle);
 }
@@ -175,7 +183,7 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     }
 }
 
-/// Satellite (b) end-to-end: per-verb latency histograms appear in
+/// Per-verb latency histograms appear in
 /// `STATS` and `HEALTH` once a verb has traffic, and quiet verbs stay
 /// silent.
 #[test]
@@ -185,7 +193,6 @@ fn stats_and_health_expose_per_verb_latency_quantiles() {
     let key = small_key(300);
     client.run(&key).expect("run");
     client.run(&key).expect("run again (warm)");
-    // The client negotiates the binary frame: both resolves are RUNB.
     let stats = client.stats().expect("stats");
     for field in [
         "lat_runb_count=2",
@@ -211,8 +218,8 @@ fn stats_and_health_expose_per_verb_latency_quantiles() {
 }
 
 /// The `METRICS` verb serves a parseable Prometheus exposition whose
-/// counters agree with `STATS` — both are built from the same atomics
-/// and the same histogram snapshots, so any drift is a bug.
+/// counters agree with `STATS` — both render the same registry
+/// snapshot, so any drift is a bug.
 #[test]
 fn metrics_exposition_parses_and_matches_stats() {
     let addr = spawn_server(ServerConfig::default());

@@ -3,10 +3,11 @@
 //! hit counters, and graceful handling of malformed, truncated and
 //! non-executable requests.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use qprac_serve::protocol::{read_response, Response};
 use qprac_serve::{ChaosSpec, Client, ClientError, Server, ServerConfig};
 use sim::{CellResult, MitigationKind, RunCache, RunKey, SystemConfig};
 
@@ -113,6 +114,21 @@ fn malformed_requests_get_err_and_the_connection_survives() {
     // The same connection still works for a valid request afterwards.
     client.ping().expect("connection survived the ERRs");
     assert!(client.stat("errors").unwrap() >= 4);
+
+    // The retired text verb is just an unknown request, and its
+    // connection survives too.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    writeln!(raw, "RUN {}", small_key(100)).unwrap();
+    match read_response(&mut reader).unwrap() {
+        Response::Err(msg) => assert!(msg.contains("unknown request"), "{msg}"),
+        other => panic!("RUN must be refused: {other:?}"),
+    }
+    raw.write_all(b"PING\n").unwrap();
+    assert_eq!(
+        read_response(&mut reader).unwrap(),
+        Response::Ok("pong".into())
+    );
 }
 
 #[test]
@@ -147,7 +163,7 @@ fn truncated_connections_do_not_wedge_the_server() {
     // A client that dies mid-request: no trailing newline, then EOF.
     {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"RUN half-a-key").unwrap();
+        stream.write_all(b"RUNB half-a-key").unwrap();
         // Dropped here: the server sees EOF mid-line and closes.
     }
     // And one that sends garbage bytes with a newline.
@@ -197,39 +213,6 @@ fn corrupt_binary_disk_entries_are_a_miss_never_a_panic() {
     assert_eq!(client_b.stat("disk_hits").unwrap(), 0, "corrupt = miss");
     assert_eq!(client_b.stat("simulated").unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A single-connection stand-in for a server that predates `RUNB`: it
-/// answers `ERR unknown request ...` to anything but `RUN`/`PING`,
-/// exactly like the old `parse_request`, and serves `RUN` with a text
-/// `count` payload.
-fn spawn_pre_runb_server() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return;
-            }
-            let reply = if line.starts_with("RUN ") {
-                "OK count 2\n41".to_string()
-            } else if line.trim_end() == "PING" {
-                "OK text 4\npong".to_string()
-            } else {
-                let msg = format!("unknown request {:?}", line.trim_end());
-                format!("ERR {}\n{msg}", msg.len())
-            };
-            if writer.write_all(reply.as_bytes()).is_err() {
-                return;
-            }
-        }
-    });
-    addr
 }
 
 /// The satellite-d pin: a single-flight leader killed mid-simulation
@@ -358,22 +341,5 @@ fn hung_server_times_out_instead_of_stalling() {
         t0.elapsed() < Duration::from_secs(5),
         "the deadline must bound the stall (took {:?})",
         t0.elapsed()
-    );
-}
-
-#[test]
-fn client_falls_back_to_text_on_pre_runb_servers() {
-    let addr = spawn_pre_runb_server();
-    let mut client = Client::connect(addr).unwrap();
-    // First run probes RUNB, gets the unknown-request ERR, retries as
-    // RUN on the same connection — and remembers.
-    let key = RunKey::engine("legacy");
-    assert_eq!(
-        client.run(&key).expect("fallback run"),
-        CellResult::Count(41)
-    );
-    assert_eq!(
-        client.run(&key).expect("remembered text verb"),
-        CellResult::Count(41)
     );
 }

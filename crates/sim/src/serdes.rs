@@ -1,5 +1,7 @@
-//! Lossless text serialization for [`RunStats`] — the persistent
-//! run-cache format.
+//! Lossless text serialization for [`RunStats`]: the golden-snapshot
+//! renderer, the reference the binary [`crate::codec`] is tested
+//! against, and what `qprac-client run` prints. Results are stored and
+//! sent in the binary codec only.
 //!
 //! The rendering reuses the golden-snapshot format of
 //! `crates/sim/tests/golden/` ([`RunStats::golden_repr`]: one
@@ -10,10 +12,7 @@
 //! s` bit-for-bit.
 //!
 //! The parser is deliberately strict: an unknown field, a missing
-//! field, or a malformed value is an error, never a default. The bench
-//! run cache treats any parse error as a cache miss and re-simulates,
-//! so a stats struct gaining a field invalidates stale cache entries
-//! instead of resurrecting them with holes.
+//! field, or a malformed value is an error, never a default.
 
 use cpu_model::{CacheStats, CoreStats};
 use dram_core::DeviceStats;
@@ -37,7 +36,7 @@ pub enum CellResult {
 }
 
 impl CellResult {
-    /// Short kind tag used in cache files and wire frames.
+    /// Short kind tag naming the variant.
     pub fn kind(&self) -> &'static str {
         match self {
             CellResult::Stats(_) => "stats",
@@ -46,9 +45,8 @@ impl CellResult {
         }
     }
 
-    /// The lossless text payload for this result (the `kind()` tag
-    /// travels separately — in the cache-file header or the response
-    /// status line).
+    /// The lossless text payload for this result (without its `kind()`
+    /// tag).
     pub fn payload(&self) -> String {
         match self {
             CellResult::Stats(s) => to_text(s),
@@ -59,8 +57,7 @@ impl CellResult {
 
     /// Parse a `(kind, payload)` pair back into a result. Strict like
     /// every parser in this module: an unknown kind or a malformed
-    /// payload is an error (cache readers treat it as a miss; the wire
-    /// layer surfaces it to the client).
+    /// payload is an error.
     pub fn from_payload(kind: &str, payload: &str) -> Result<CellResult, String> {
         match kind {
             "stats" => from_text(payload).map(|s| CellResult::Stats(Box::new(s))),

@@ -11,8 +11,7 @@ use energy_model::EnergyBreakdown;
 use mem_ctrl::McStats;
 use proptest::prelude::*;
 use sim::{
-    decode_cell, encode_cell, BwAttackStats, CacheFormat, CellResult, RunCache, RunKey, RunStats,
-    SystemConfig,
+    decode_cell, encode_cell, BwAttackStats, CellResult, RunCache, RunKey, RunStats, SystemConfig,
 };
 
 /// Turn raw bits into a finite f64 (infinities and NaNs cannot appear
@@ -161,11 +160,11 @@ proptest! {
 
     /// Registry-driven persistence property: a result cached under any
     /// registered design's key — every zoo entry, not a hand-picked
-    /// few — reloads bit-identically through the `RunCache` in both
-    /// the binary `.qbc` and legacy text formats. This is the on-disk
-    /// half of the wire contract `serdes_prop.rs` pins for key text.
+    /// few — reloads bit-identically through the `RunCache`. This is
+    /// the on-disk half of the wire contract `serdes_prop.rs` pins for
+    /// key text.
     #[test]
-    fn every_registry_key_round_trips_through_both_cache_formats(
+    fn every_registry_key_round_trips_through_the_cache(
         words in proptest::collection::vec(0u64..u64::MAX, 120..121),
         channels_pow in 0u32..3,
         cores in 0usize..5,
@@ -178,15 +177,13 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        for format in [CacheFormat::Binary, CacheFormat::Text] {
-            let cache = RunCache::at(&dir).with_format(format);
-            for spec in mitigations::registry() {
-                let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
-                let key = RunKey::workload(&cfg, "ycsb/a_like");
-                cache.store(&key, &cell).expect("store cached cell");
-                let back = cache.load(&key).expect("reload cached cell");
-                prop_assert_eq!(&back, &cell, "{} in {:?}", spec.stem, format);
-            }
+        let cache = RunCache::at(&dir);
+        for spec in mitigations::registry() {
+            let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
+            let key = RunKey::workload(&cfg, "ycsb/a_like");
+            cache.store(&key, &cell).expect("store cached cell");
+            let back = cache.load(&key).expect("reload cached cell");
+            prop_assert_eq!(&back, &cell, "{}", spec.stem);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

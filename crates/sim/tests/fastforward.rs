@@ -34,31 +34,6 @@ fn run_mode(workload: &str, kind: MitigationKind, instrs: u64, fast: bool) -> Ru
     run_mode_channels(workload, kind, instrs, 1, fast)
 }
 
-/// Like [`run_mode_channels`] with fast-forward on, but spreading the
-/// per-channel memory work over `threads` worker threads. Uses the
-/// builder rather than `QPRAC_CHANNEL_THREADS` so the matrix cannot
-/// race with other tests mutating the environment.
-fn run_mode_threads(
-    workload: &str,
-    kind: MitigationKind,
-    instrs: u64,
-    channels: usize,
-    threads: usize,
-) -> RunStats {
-    let cfg = SystemConfig::paper_default()
-        .with_mitigation(kind)
-        .with_channels(channels)
-        .with_instruction_limit(instrs);
-    let spec = WorkloadSpec::by_name(workload).unwrap();
-    let traces: Vec<Box<dyn TraceSource>> = (0..cfg.cores)
-        .map(|i| Box::new(spec.source(i as u64)) as Box<dyn TraceSource>)
-        .collect();
-    System::new(cfg, traces, spec.params.mlp)
-        .with_fast_forward(true)
-        .with_channel_threads(threads)
-        .run()
-}
-
 #[test]
 fn fast_forward_is_bit_exact_across_workloads_and_mitigations() {
     for workload in ["ycsb/a_like", "media/gsm_like", "tpc/tpcc64_like"] {
@@ -201,65 +176,6 @@ fn fast_forward_is_bit_exact_under_a_two_channel_alert_storm() {
     assert!(
         fast.mc.alert_service_cycles > 0,
         "skipped alert cycles must still be accounted"
-    );
-}
-
-/// Channel-parallel execution must be invisible in the statistics:
-/// the full workload × mitigation matrix, run with 1, 2 and 4 worker
-/// threads at 2 and 4 channels, must reproduce the sequential
-/// fast-forward `RunStats` bit for bit. Thread scheduling may change
-/// *when* a channel's lane advances in wall-clock terms, never what
-/// it computes.
-#[test]
-fn channel_threads_are_bit_exact_across_the_matrix() {
-    for channels in [2usize, 4] {
-        for workload in ["ycsb/a_like", "media/gsm_like", "tpc/tpcc64_like"] {
-            for kind in [
-                MitigationKind::None,
-                MitigationKind::Qprac,
-                MitigationKind::QpracProactive,
-            ] {
-                let sequential = run_mode_channels(workload, kind, 3_000, channels, true);
-                for threads in [1usize, 2, 4] {
-                    let parallel = run_mode_threads(workload, kind, 3_000, channels, threads);
-                    assert_eq!(
-                        parallel, sequential,
-                        "{threads} channel threads diverged for {workload} under \
-                         {kind:?} at {channels} channels"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The alert storm is the hardest case for lane parallelism: every
-/// channel is in constant back-off/RFM churn, so any cross-channel
-/// ordering assumption the workers violate would surface here.
-#[test]
-fn channel_threads_are_bit_exact_under_a_two_channel_alert_storm() {
-    let sequential = run_hammer(2, true);
-    for threads in [2usize, 4] {
-        let cfg = SystemConfig::paper_default()
-            .with_mitigation(MitigationKind::Qprac)
-            .with_nbo(8)
-            .with_channels(2)
-            .with_instruction_limit(4_000);
-        let traces: Vec<Box<dyn TraceSource>> = (0..cfg.cores)
-            .map(|i| Box::new(hammer_trace(&cfg, i as u64)) as Box<dyn TraceSource>)
-            .collect();
-        let parallel = System::new(cfg, traces, 4)
-            .with_fast_forward(true)
-            .with_channel_threads(threads)
-            .run();
-        assert_eq!(
-            parallel, sequential,
-            "{threads} channel threads diverged in the 2-channel alert storm"
-        );
-    }
-    assert!(
-        sequential.channel_device.iter().all(|d| d.alerts > 0),
-        "the storm must hit both channels"
     );
 }
 
