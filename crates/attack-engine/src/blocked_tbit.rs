@@ -73,19 +73,6 @@ pub fn run(queue_size: usize, tbit: u32) -> BlockedTbitOutcome {
     }
 }
 
-/// Sweep Fig 23's axes: thresholds × queue sizes. Returns
-/// `(queue_size, threshold, target_unmitigated)` rows.
-pub fn figure23_sweep(queue_sizes: &[usize], tbits: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &t in tbits {
-            let o = run(q, t);
-            out.push((q, 1u32 << t, o.target_unmitigated));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -104,19 +104,6 @@ pub fn run(queue_size: usize, threshold: u32) -> FillEscapeOutcome {
     }
 }
 
-/// Sweep Fig 3's axes: thresholds × queue sizes. Returns
-/// `(queue_size, threshold, target_unmitigated)` rows.
-pub fn figure3_sweep(queue_sizes: &[usize], thresholds: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &m in thresholds {
-            let o = run(q, m);
-            out.push((q, m, o.target_unmitigated));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,9 @@
 //! - [`blocked_tbit`] — breaks the Appendix-A strawman that suppresses
 //!   toggles during alert windows (Fig 23);
 //! - [`wave`] — the Wave/Feinting attack used to validate the analytical
-//!   security model and to show PSQ ≡ ideal PRAC (§IV-B).
+//!   security model and to show PSQ ≡ ideal PRAC (§IV-B);
+//! - [`spec`] — [`EngineSpec`], one of the runs above as plain data, the
+//!   form the figure suite keys, caches and ships them in.
 //!
 //! ## Example: QPRAC survives what breaks Panopticon
 //!
@@ -36,11 +38,13 @@
 pub mod blocked_tbit;
 pub mod engine;
 pub mod fill_escape;
+pub mod spec;
 pub mod toggle_forget;
 pub mod wave;
 
 pub use blocked_tbit::BlockedTbitOutcome;
 pub use engine::{ActEngine, EngineConfig, EngineStats};
 pub use fill_escape::FillEscapeOutcome;
+pub use spec::EngineSpec;
 pub use toggle_forget::ToggleForgetOutcome;
 pub use wave::{run_with_setup as run_wave, WaveOutcome};

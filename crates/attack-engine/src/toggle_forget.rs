@@ -98,19 +98,6 @@ pub fn run(queue_size: usize, tbit: u32) -> ToggleForgetOutcome {
     }
 }
 
-/// Sweep Fig 2's axes: queue sizes × t-bit values. Returns
-/// `(queue_size, tbit, target_unmitigated)` rows.
-pub fn figure2_sweep(queue_sizes: &[usize], tbits: &[u32]) -> Vec<(usize, u32, u32)> {
-    let mut out = Vec::new();
-    for &q in queue_sizes {
-        for &t in tbits {
-            let o = run(q, t);
-            out.push((q, t, o.target_unmitigated));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,9 +4,8 @@
 //!
 //! What one run does:
 //!
-//! 1. collects every remotable cell of [`run_all_specs`] (the engine
-//!    cells wrap local closures and never travel) and dedupes by
-//!    canonical [`RunKey`];
+//! 1. collects every cell of [`run_all_specs`] and dedupes by canonical
+//!    [`RunKey`];
 //! 2. opens `QPRAC_LOAD_IDLE` (default 1024) extra idle connections
 //!    spread across the shards and **holds them open for the whole
 //!    run** — the poll-readiness server must serve the load through
@@ -16,7 +15,7 @@
 //!    routed through the same consistent-hash [`ShardMap`] the bench
 //!    runner uses;
 //! 4. sums per-shard `STATS` deltas and asserts cluster-wide
-//!    `simulated == unique remotable keys`: shard affinity plus
+//!    `simulated == unique keys`: shard affinity plus
 //!    server-side single-flight turned 2x request fan-in into exactly
 //!    one simulation per cell, with zero cross-shard duplication.
 //!
@@ -42,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use qprac_bench::experiments::run_all_specs;
-use qprac_bench::{profile, scrape_cluster, write_cluster_metrics, Job};
+use qprac_bench::{profile, scrape_cluster, write_cluster_metrics};
 use qprac_serve::{Client, ShardMap};
 use sim::RunKey;
 
@@ -70,29 +69,22 @@ fn main() {
     let clients_n = sim::env_usize("QPRAC_LOAD_CLIENTS", 64).max(2);
     let idle_target = sim::env_usize("QPRAC_LOAD_IDLE", 1024);
 
-    // The key population: every remotable run_all cell, deduplicated.
+    // The key population: every run_all cell, deduplicated.
     let specs = run_all_specs();
     let mut cells = 0usize;
-    let mut engine_cells = 0usize;
     let mut seen: HashSet<RunKey> = HashSet::new();
     let mut keys: Vec<RunKey> = Vec::new();
-    for spec in &specs {
-        for job in &spec.jobs {
-            cells += 1;
-            if matches!(job, Job::Engine { .. }) {
-                engine_cells += 1;
-                continue;
-            }
-            let key = job.key();
-            if seen.insert(key.clone()) {
-                keys.push(key);
-            }
+    for job in specs.iter().flat_map(|spec| &spec.jobs) {
+        cells += 1;
+        let key = job.key();
+        if seen.insert(key.clone()) {
+            keys.push(key);
         }
     }
     let unique = keys.len();
     println!(
-        "load-test: population {cells} cells -> {unique} unique remotable keys \
-         ({engine_cells} engine cells stay local), {} shard(s), {clients_n} clients",
+        "load-test: population {cells} cells -> {unique} unique remotable keys, \
+         {} shard(s), {clients_n} clients",
         shards.len()
     );
 

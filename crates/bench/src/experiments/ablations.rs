@@ -10,19 +10,14 @@
 //!    loses when insertion requires strictly-greater counts (the paper's
 //!    rule) versus greater-or-equal, under a tie-heavy uniform attack.
 
-use attack_engine::engine::EngineConfig;
-use attack_engine::run_wave;
+use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
 use dram_core::RowId;
-use qprac::{Psq, Qprac, QpracConfig};
+use qprac::Psq;
 use sim::{MitigationKind, SystemConfig};
 
 use crate::csv::{f, CsvWriter};
 use crate::spec::{ExperimentSpec, Job};
-
-fn psq_wave_key(nmit: u32, size: usize, nbo: u32, r1: u64) -> String {
-    format!("wave_psq:nmit={nmit}:size={size}:nbo={nbo}:r1={r1}")
-}
 
 /// Ablation 1: wave-attack ceiling vs PSQ size for each PRAC level.
 pub fn psq_size_security_spec() -> ExperimentSpec {
@@ -32,23 +27,10 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&m| (1..=5usize).map(move |s| (m, s)))
         .collect();
+    let cell = move |nmit, psq| EngineSpec::Wave { nmit, nbo, psq, r1 };
     let jobs = grid
         .iter()
-        .map(|&(nmit, size)| {
-            Job::engine(psq_wave_key(nmit, size, nbo, r1), move || {
-                run_wave(
-                    EngineConfig::paper_default(nmit),
-                    Box::new(Qprac::new(
-                        QpracConfig::paper_default()
-                            .with_nbo(nbo)
-                            .with_psq_size(size),
-                    )),
-                    r1,
-                    nbo - 1,
-                )
-                .max_unmitigated as u64
-            })
-        })
+        .map(|&(nmit, size)| cell(nmit, size).into())
         .collect();
     ExperimentSpec::new("ablation_psq_size", jobs, move |r| {
         println!("Ablation: wave-attack ceiling vs PSQ size (paper §III-E sizing rule)");
@@ -58,7 +40,7 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
         )?;
         println!("{:>5} {:>9} {:>17}", "nmit", "psq_size", "max unmitigated");
         for &(nmit, size) in &grid {
-            let max = r.engine(&psq_wave_key(nmit, size, nbo, r1));
+            let max = r.engine(cell(nmit, size));
             let compliant = size >= nmit as usize;
             println!(
                 "{nmit:>5} {size:>9} {max:>17}{}",
@@ -94,7 +76,10 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 MitigationKind::QpracNoOp,
                 MitigationKind::Qprac,
             ] {
-                jobs.push(Job::workload(cfg_for(kind, nbo), spec.clone()));
+                jobs.push(Job::Workload {
+                    cfg: cfg_for(kind, nbo),
+                    workload: spec.clone(),
+                });
             }
         }
     }
@@ -208,4 +193,46 @@ pub fn all_specs(workloads: &[WorkloadSpec]) -> Vec<ExperimentSpec> {
         opportunistic_bit_spec(workloads),
         insertion_tie_policy_spec(),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::experiments::{run_all_specs, security_figs};
+
+    fn keys(spec: &ExperimentSpec) -> HashSet<sim::RunKey> {
+        spec.jobs.iter().map(Job::key).collect()
+    }
+
+    /// The PSQ ablation at the default size 5 and the wave validation
+    /// at R1 = 1000 run the same attack, so they share their cells.
+    #[test]
+    fn psq_ablation_shares_the_wave_validation_cells() {
+        let wave = keys(&security_figs::wave_validate_spec());
+        let psq = keys(&psq_size_security_spec());
+        let shared: HashSet<sim::RunKey> = [1, 2, 4]
+            .map(|nmit| {
+                Job::from(EngineSpec::Wave {
+                    nmit,
+                    nbo: 32,
+                    psq: 5,
+                    r1: 1000,
+                })
+                .key()
+            })
+            .into();
+        assert_eq!(
+            wave.intersection(&psq).cloned().collect::<HashSet<_>>(),
+            shared
+        );
+        let engine_cells = run_all_specs()
+            .iter()
+            .flat_map(|s| s.jobs.iter().map(Job::key))
+            .filter(|k| k.as_str().starts_with("engine:"))
+            .collect::<HashSet<_>>()
+            .len();
+        assert_eq!(engine_cells, 98, "101 engine cells, 3 shared");
+    }
 }

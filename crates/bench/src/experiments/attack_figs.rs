@@ -54,13 +54,17 @@ pub fn fig19_spec() -> ExperimentSpec {
             .with_nbo(nbo)
     };
     for &nbo in &nbos {
-        jobs.push(Job::attack(base_cfg(nbo), ATTACK_BANKS, window));
+        jobs.push(Job::Attack {
+            cfg: base_cfg(nbo),
+            banks: ATTACK_BANKS,
+            window,
+        });
         for &(_, kind, rfm) in &variants {
-            jobs.push(Job::attack(
-                variant_cfg(nbo, kind, rfm),
-                ATTACK_BANKS,
+            jobs.push(Job::Attack {
+                cfg: variant_cfg(nbo, kind, rfm),
+                banks: ATTACK_BANKS,
                 window,
-            ));
+            });
         }
     }
     ExperimentSpec::new("fig19", jobs, move |r| {

@@ -36,10 +36,10 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let mut jobs = Vec::new();
     for w in &workloads {
         for spec in mitigations::registry() {
-            jobs.push(Job::workload(
-                SystemConfig::paper_default().with_mitigation(spec.default_kind),
-                w.clone(),
-            ));
+            jobs.push(Job::Workload {
+                cfg: SystemConfig::paper_default().with_mitigation(spec.default_kind),
+                workload: w.clone(),
+            });
         }
     }
     ExperimentSpec::new("compare_mitigations", jobs, move |r| {

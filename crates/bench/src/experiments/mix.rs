@@ -63,13 +63,19 @@ pub fn mix_speedup_spec() -> ExperimentSpec {
     for &name in &names {
         let spec = cpu_model::WorkloadSpec::by_name(name).expect("mix slots resolve");
         for ch in MIX_CHANNELS {
-            jobs.push(Job::workload(alone_cfg(ch), spec.clone()));
+            jobs.push(Job::Workload {
+                cfg: alone_cfg(ch),
+                workload: spec.clone(),
+            });
         }
     }
     for mix in &mixes {
         for ch in MIX_CHANNELS {
             for kind in MIX_KINDS {
-                jobs.push(Job::mix(cfg_for(ch, kind), *mix));
+                jobs.push(Job::Mix {
+                    cfg: cfg_for(ch, kind),
+                    mix: *mix,
+                });
             }
         }
     }

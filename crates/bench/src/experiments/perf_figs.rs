@@ -26,12 +26,15 @@ pub fn fig14_15_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
     let mut jobs = Vec::new();
     for spec in &workloads {
-        jobs.push(Job::workload(base_cfg.clone(), spec.clone()));
+        jobs.push(Job::Workload {
+            cfg: base_cfg.clone(),
+            workload: spec.clone(),
+        });
         for kind in FIG14_CONFIGS {
-            jobs.push(Job::workload(
-                SystemConfig::paper_default().with_mitigation(kind),
-                spec.clone(),
-            ));
+            jobs.push(Job::Workload {
+                cfg: SystemConfig::paper_default().with_mitigation(kind),
+                workload: spec.clone(),
+            });
         }
     }
     ExperimentSpec::new("fig14_15", jobs, move |r| {
@@ -155,8 +158,14 @@ fn sweep_spec(
             ..cfg.clone()
         };
         for spec in &workloads {
-            jobs.push(Job::workload(base_cfg.clone(), spec.clone()));
-            jobs.push(Job::workload(cfg.clone(), spec.clone()));
+            jobs.push(Job::Workload {
+                cfg: base_cfg.clone(),
+                workload: spec.clone(),
+            });
+            jobs.push(Job::Workload {
+                cfg: cfg.clone(),
+                workload: spec.clone(),
+            });
         }
     }
     ExperimentSpec::new(name, jobs, move |r| {
@@ -377,9 +386,15 @@ pub fn fig21_22_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
     let mut jobs = Vec::new();
     for spec in &workloads {
-        jobs.push(Job::workload(base_cfg.clone(), spec.clone()));
+        jobs.push(Job::Workload {
+            cfg: base_cfg.clone(),
+            workload: spec.clone(),
+        });
         for (_, cfg) in &configs {
-            jobs.push(Job::workload(cfg.clone(), spec.clone()));
+            jobs.push(Job::Workload {
+                cfg: cfg.clone(),
+                workload: spec.clone(),
+            });
         }
     }
     ExperimentSpec::new("fig21_22", jobs, move |r| {
@@ -423,15 +438,18 @@ pub fn table03_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
     let mut jobs = Vec::new();
     for spec in &workloads {
-        jobs.push(Job::workload(base_cfg.clone(), spec.clone()));
+        jobs.push(Job::Workload {
+            cfg: base_cfg.clone(),
+            workload: spec.clone(),
+        });
         for nmit in [1u8, 2, 4] {
             for (_, kind) in kinds {
-                jobs.push(Job::workload(
-                    SystemConfig::paper_default()
+                jobs.push(Job::Workload {
+                    cfg: SystemConfig::paper_default()
                         .with_mitigation(kind)
                         .with_nmit(nmit),
-                    spec.clone(),
-                ));
+                    workload: spec.clone(),
+                });
             }
         }
     }

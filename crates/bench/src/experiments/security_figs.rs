@@ -2,21 +2,15 @@
 //! validation (§IV-B).
 //!
 //! The attack-engine sweeps (Figs 2, 3, 23, wave validation) declare
-//! their grid points as `Job::engine` cells so the cross-figure runner
-//! schedules them on the shared pool; the analytical figures carry no
-//! cells at all.
+//! their grid points as [`EngineSpec`] cells, which the cross-figure
+//! runner keys, caches and schedules like any other cell; the
+//! analytical figures carry no cells at all.
 
-use attack_engine::engine::EngineConfig;
-use attack_engine::{blocked_tbit, fill_escape, toggle_forget, wave};
-use qprac::{Qprac, QpracConfig};
+use attack_engine::EngineSpec;
 use security_model::{max_r1, n_online, secure_trh, setup, trh_curve, PracModel};
 
 use crate::csv::{f, CsvWriter};
-use crate::spec::{ExperimentSpec, Job};
-
-fn toggle_forget_key(q: usize, t: u32) -> String {
-    format!("toggle_forget:q={q}:t={t}")
-}
+use crate::spec::ExperimentSpec;
 
 /// Fig 2: Toggle+Forget on Panopticon (simulated on the ACT engine).
 pub fn fig02_spec() -> ExperimentSpec {
@@ -26,14 +20,8 @@ pub fn fig02_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| tbits.iter().map(move |&t| (q, t)))
         .collect();
-    let jobs = grid
-        .iter()
-        .map(|&(q, t)| {
-            Job::engine(toggle_forget_key(q, t), move || {
-                toggle_forget::run(q, t).target_unmitigated as u64
-            })
-        })
-        .collect();
+    let cell = |q, t| EngineSpec::ToggleForget { queue: q, tbit: t };
+    let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
     ExperimentSpec::new("fig02", jobs, move |r| {
         let mut w = CsvWriter::create("fig02", &["queue_size", "tbit", "max_unmitigated_acts"])?;
         println!("Fig 2: Panopticon Toggle+Forget — max unmitigated ACTs to a row");
@@ -42,17 +30,13 @@ pub fn fig02_spec() -> ExperimentSpec {
             "queue", "t-bit", "max unmitigated ACTs"
         );
         for &(q, t) in &grid {
-            let acts = r.engine(&toggle_forget_key(q, t));
+            let acts = r.engine(cell(q, t));
             println!("{q:>10} {t:>6} {acts:>22}");
             w.row(&[q.to_string(), t.to_string(), acts.to_string()])?;
         }
         println!("(paper: >100K at Q=4, ~25K at Q=16, threshold-independent)\n");
         Ok(())
     })
-}
-
-fn fill_escape_key(q: usize, m: u32) -> String {
-    format!("fill_escape:q={q}:m={m}")
 }
 
 /// Fig 3: Fill+Escape on full-counter Panopticon.
@@ -63,14 +47,11 @@ pub fn fig03_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| thresholds.iter().map(move |&m| (q, m)))
         .collect();
-    let jobs = grid
-        .iter()
-        .map(|&(q, m)| {
-            Job::engine(fill_escape_key(q, m), move || {
-                fill_escape::run(q, m).target_unmitigated as u64
-            })
-        })
-        .collect();
+    let cell = |q, m| EngineSpec::FillEscape {
+        queue: q,
+        threshold: m,
+    };
+    let jobs = grid.iter().map(|&(q, m)| cell(q, m).into()).collect();
     ExperimentSpec::new("fig03", jobs, move |r| {
         let mut w = CsvWriter::create(
             "fig03",
@@ -82,7 +63,7 @@ pub fn fig03_spec() -> ExperimentSpec {
             "queue", "threshold", "max unmitigated ACTs"
         );
         for &(q, m) in &grid {
-            let acts = r.engine(&fill_escape_key(q, m));
+            let acts = r.engine(cell(q, m));
             println!("{q:>8} {m:>10} {acts:>22}");
             w.row(&[q.to_string(), m.to_string(), acts.to_string()])?;
         }
@@ -297,10 +278,6 @@ pub fn fig13_spec() -> ExperimentSpec {
     })
 }
 
-fn blocked_tbit_key(q: usize, t: u32) -> String {
-    format!("blocked_tbit:q={q}:t={t}")
-}
-
 /// Fig 23 (Appendix A): blocked-t-bit Panopticon attack. Reports both
 /// the per-bank engine simulation and the channel-level analytical bound.
 pub fn fig23_spec() -> ExperimentSpec {
@@ -310,14 +287,8 @@ pub fn fig23_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| tbits.iter().map(move |&t| (q, t)))
         .collect();
-    let jobs = grid
-        .iter()
-        .map(|&(q, t)| {
-            Job::engine(blocked_tbit_key(q, t), move || {
-                blocked_tbit::run(q, t).target_unmitigated as u64
-            })
-        })
-        .collect();
+    let cell = |q, t| EngineSpec::BlockedTbit { queue: q, tbit: t };
+    let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
     ExperimentSpec::new("fig23", jobs, move |r| {
         let mut w = CsvWriter::create(
             "fig23",
@@ -334,7 +305,7 @@ pub fn fig23_spec() -> ExperimentSpec {
             "queue", "threshold", "engine(per-bank)", "analytic(channel)"
         );
         for &(q, t) in &grid {
-            let engine = r.engine(&blocked_tbit_key(q, t));
+            let engine = r.engine(cell(q, t));
             let m = 1u64 << t;
             let analytic = security_model::panopticon::blocked_tbit_max_acts(q as u64, m);
             println!("{q:>8} {m:>10} {engine:>16} {analytic:>18}");
@@ -350,27 +321,21 @@ pub fn fig23_spec() -> ExperimentSpec {
     })
 }
 
-fn wave_key(nmit: u32, nbo: u32, r1: u64) -> String {
-    format!("wave:nmit={nmit}:nbo={nbo}:r1={r1}")
-}
-
 /// §IV-B validation: empirical wave attack vs the analytical model.
 pub fn wave_validate_spec() -> ExperimentSpec {
     let grid: Vec<(u32, u32, u64)> = [1u32, 2, 4]
         .iter()
         .flat_map(|&m| [200u64, 1000, 4000].iter().map(move |&r| (m, 32, r)))
         .collect();
+    let cell = |nmit, nbo, r1| EngineSpec::Wave {
+        nmit,
+        nbo,
+        psq: 5,
+        r1,
+    };
     let jobs = grid
         .iter()
-        .map(|&(nmit, nbo, r1)| {
-            Job::engine(wave_key(nmit, nbo, r1), move || {
-                let cfg = EngineConfig::paper_default(nmit);
-                let tracker = Box::new(Qprac::new(
-                    QpracConfig::paper_default().with_nbo(nbo).with_psq_size(5),
-                ));
-                wave::run_with_setup(cfg, tracker, r1, nbo - 1).max_unmitigated as u64
-            })
-        })
+        .map(|&(nmit, nbo, r1)| cell(nmit, nbo, r1).into())
         .collect();
     ExperimentSpec::new("wave_validate", jobs, move |r| {
         let mut w = CsvWriter::create(
@@ -383,7 +348,7 @@ pub fn wave_validate_spec() -> ExperimentSpec {
             "nmit", "N_BO", "R1", "simulated", "model", "rel err"
         );
         for &(nmit, nbo, r1) in &grid {
-            let sim = r.engine(&wave_key(nmit, nbo, r1));
+            let sim = r.engine(cell(nmit, nbo, r1));
             let model = (nbo as u64 - 1)
                 + n_online(
                     &PracModel::prac(nmit, nbo),

@@ -16,7 +16,10 @@
 //!   jittered retry, one shared health state — and a shard that keeps
 //!   failing is marked down: only *its* keys degrade to the local pool
 //!   until a `HEALTH` probe readmits it.
-//!   `Engine` cells wrap local closures and always run locally.
+//!
+//! Every cell — workload, mix, bandwidth attack or attack engine — is
+//! plain data named by its key, so each one caches, shards and crosses
+//! the wire the same way.
 //!
 //! Identical cells shared by several figures — e.g. the unmitigated
 //! baseline of every sensitivity sweep — resolve exactly once per
@@ -197,8 +200,7 @@ std::thread_local! {
 /// (which the server's single-flight layer coalesces anyway), never
 /// wrong results. Each pool worker keeps one pipelined connection per
 /// shard (fresh connections per cell would make churn dominate warm
-/// passes). [`Job::Engine`] cells (opaque local closures) run on the
-/// local pool as always.
+/// passes).
 #[derive(Debug, Clone)]
 pub struct RemoteExecutor {
     shards: Vec<String>,
@@ -427,14 +429,8 @@ impl CellExecutor for RemoteExecutor {
     fn execute_cells(&self, cells: &[(&Job, RunKey)]) -> Vec<JobResult> {
         let out = parallel(cells.len(), |i| {
             let (job, key) = &cells[i];
-            if matches!(job, Job::Engine { .. }) {
-                profile::time("simulate", || job.run())
-            } else {
-                match self.run_remote(key) {
-                    Ok(result) => result,
-                    Err(why) => self.fall_back_local(job, key, &why),
-                }
-            }
+            self.run_remote(key)
+                .unwrap_or_else(|why| self.fall_back_local(job, key, &why))
         });
         if let Some(line) = self.stats.summary() {
             println!("{line}");
@@ -624,33 +620,36 @@ mod tests {
         (RunCache::at(dir.clone()), dir)
     }
 
+    /// The cheapest real cell: a wave attack on a pool of `r1` rows.
+    fn wave(r1: u64) -> attack_engine::EngineSpec {
+        attack_engine::EngineSpec::Wave {
+            nmit: 1,
+            nbo: 8,
+            psq: 5,
+            r1,
+        }
+    }
+
     #[test]
     fn execute_dedupes_across_specs_and_reports_hits() {
-        use crate::spec::Job;
         let (cache, dir) = temp_cache("exec");
+        let shared = wave(4);
+        let shared_count = shared.run();
         // Two specs requesting overlapping engine cells.
         let make_specs = || {
             vec![
                 ExperimentSpec::new(
                     "a",
-                    vec![
-                        Job::engine("shared", || 41),
-                        Job::engine("only-a", || 1),
-                        Job::engine("shared", || 41),
-                    ],
-                    |r| {
-                        assert_eq!(r.engine("shared"), 41);
+                    vec![Job::from(shared), Job::from(wave(5)), Job::from(shared)],
+                    move |r| {
+                        assert_eq!(r.engine(shared), shared_count);
                         Ok(())
                     },
                 ),
-                ExperimentSpec::new(
-                    "b",
-                    vec![Job::engine("shared", || 41), Job::engine("only-b", || 2)],
-                    |r| {
-                        assert_eq!(r.engine("only-b"), 2);
-                        Ok(())
-                    },
-                ),
+                ExperimentSpec::new("b", vec![Job::from(shared), Job::from(wave(6))], |r| {
+                    assert_eq!(r.engine(wave(6)), wave(6).run());
+                    Ok(())
+                }),
             ]
         };
         // Cold pass against an explicit cache dir (not env-driven: tests
@@ -671,14 +670,13 @@ mod tests {
 
     #[test]
     fn gc_budget_is_enforced_after_a_pass() {
-        use crate::spec::Job;
         let (cache, dir) = temp_cache("gc");
         // A 1-byte budget: every entry written by the pass must be
         // evicted again by the end-of-pass sweep.
         let cache = cache.with_max_bytes(Some(1));
         let specs = vec![ExperimentSpec::new(
             "g",
-            vec![Job::engine("gc-a", || 1), Job::engine("gc-b", || 2)],
+            vec![Job::from(wave(4)), Job::from(wave(5))],
             |_| Ok(()),
         )];
         execute_with(&specs, &LocalExecutor, &cache, false).unwrap();
@@ -722,7 +720,10 @@ mod tests {
         let cfg = SystemConfig::paper_default()
             .with_mitigation(MitigationKind::Qprac)
             .with_instruction_limit(300);
-        let job = Job::workload(cfg, WorkloadSpec::by_name("ycsb/a_like").unwrap());
+        let job = Job::Workload {
+            cfg,
+            workload: WorkloadSpec::by_name("ycsb/a_like").unwrap(),
+        };
         let key = job.key();
         (job, key)
     }
@@ -837,7 +838,10 @@ mod tests {
             let cfg = SystemConfig::paper_default()
                 .with_mitigation(MitigationKind::Qprac)
                 .with_instruction_limit(instr);
-            let job = Job::workload(cfg, WorkloadSpec::by_name("ycsb/a_like").unwrap());
+            let job = Job::Workload {
+                cfg,
+                workload: WorkloadSpec::by_name("ycsb/a_like").unwrap(),
+            };
             let key = job.key();
             let idx = exec.shard_map().shard_for(&key);
             if per_shard[idx].is_none() {

@@ -1,8 +1,9 @@
 //! Declarative experiment specs.
 //!
 //! A figure or table is an [`ExperimentSpec`]: a list of [`Job`] cells
-//! (the simulations/attack-engine runs it needs) plus an `emit` closure
-//! that renders stdout + CSV output from the resolved [`ResultSet`].
+//! (the simulations and attack-engine runs it needs, each plain data
+//! named by its [`RunKey`]) plus an `emit` closure that renders stdout +
+//! CSV output from the resolved [`ResultSet`].
 //! Specs never run anything themselves — the [`crate::runner`] collects
 //! every spec's cells, dedupes them globally by [`RunKey`], executes the
 //! union once through one work pool (with an optional persistent
@@ -15,103 +16,19 @@
 
 use std::collections::HashMap;
 
+use attack_engine::EngineSpec;
 use cpu_model::{WorkloadMix, WorkloadSpec};
 use sim::{BwAttackStats, RunKey, RunStats, SystemConfig};
 
-/// One schedulable cell of an experiment.
-pub enum Job {
-    /// [`sim::run_workload`]: `cfg.cores` homogeneous copies.
-    Workload {
-        /// Full system configuration.
-        cfg: SystemConfig,
-        /// Workload run on every core.
-        workload: WorkloadSpec,
-    },
-    /// [`sim::run_mix`]: one heterogeneous 4-slot mix.
-    Mix {
-        /// Full system configuration.
-        cfg: SystemConfig,
-        /// The mix (one workload per core slot).
-        mix: WorkloadMix,
-    },
-    /// [`sim::run_bandwidth_attack`].
-    Attack {
-        /// Full system configuration (single channel).
-        cfg: SystemConfig,
-        /// Banks hammered simultaneously.
-        banks: usize,
-        /// Attack window in memory cycles.
-        window: u64,
-    },
-    /// A bench-side attack-engine run (wave / toggle-forget / ...)
-    /// returning a single count. `key` must encode every parameter.
-    Engine {
-        /// Unique descriptor, e.g. `toggle_forget:q=4:t=6`.
-        key: String,
-        /// The computation (executed on the work pool).
-        run: Box<dyn Fn() -> u64 + Send + Sync>,
-    },
-}
+/// One schedulable cell of an experiment: the shared [`sim::CellSpec`]
+/// (a workload, mix, bandwidth-attack or attack-engine cell), so the
+/// same declarative value is keyed, cached, run in the pool and shipped
+/// to `qprac-serve`.
+pub use sim::CellSpec as Job;
 
-impl Job {
-    /// Shorthand for a workload cell.
-    pub fn workload(cfg: SystemConfig, workload: WorkloadSpec) -> Job {
-        Job::Workload { cfg, workload }
-    }
-
-    /// Shorthand for a mix cell.
-    pub fn mix(cfg: SystemConfig, mix: WorkloadMix) -> Job {
-        Job::Mix { cfg, mix }
-    }
-
-    /// Shorthand for a bandwidth-attack cell.
-    pub fn attack(cfg: SystemConfig, banks: usize, window: u64) -> Job {
-        Job::Attack { cfg, banks, window }
-    }
-
-    /// Shorthand for an attack-engine cell.
-    pub fn engine(key: impl Into<String>, run: impl Fn() -> u64 + Send + Sync + 'static) -> Job {
-        Job::Engine {
-            key: key.into(),
-            run: Box::new(run),
-        }
-    }
-
-    /// The cell's global identity: equal keys are simulated once.
-    pub fn key(&self) -> RunKey {
-        match self {
-            Job::Workload { cfg, workload } => RunKey::workload(cfg, workload.name),
-            Job::Mix { cfg, mix } => RunKey::mix(cfg, mix.name),
-            Job::Attack { cfg, banks, window } => RunKey::attack(cfg, *banks, *window),
-            Job::Engine { key, .. } => RunKey::engine(key),
-        }
-    }
-
-    /// Execute the cell (called from the runner's work pool).
-    pub fn run(&self) -> JobResult {
-        match self {
-            Job::Workload { cfg, workload } => {
-                JobResult::Stats(Box::new(sim::run_workload(cfg, workload)))
-            }
-            Job::Mix { cfg, mix } => JobResult::Stats(Box::new(sim::run_mix(cfg, mix))),
-            Job::Attack { cfg, banks, window } => {
-                JobResult::Attack(sim::run_bandwidth_attack(cfg, *banks, *window))
-            }
-            Job::Engine { run, .. } => JobResult::Count(run()),
-        }
-    }
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("key", &self.key()).finish()
-    }
-}
-
-/// The value a [`Job`] produces — now the shared [`sim::CellResult`],
-/// so the same enum flows through the in-process pool, the persistent
-/// [`sim::RunCache`] files and the `qprac-serve` wire protocol. The
-/// variants are unchanged: `Stats(Box<RunStats>)`, `Attack`, `Count`.
+/// The value a [`Job`] produces: the shared [`sim::CellResult`] that
+/// flows through the in-process pool, the persistent [`sim::RunCache`]
+/// files and the `qprac-serve` wire protocol.
 pub use sim::CellResult as JobResult;
 
 /// An emitter: renders one spec's stdout + CSV from resolved cells.
@@ -196,10 +113,10 @@ impl<'a> ResultSet<'a> {
     }
 
     /// Count of an attack-engine cell.
-    pub fn engine(&self, key: &str) -> u64 {
-        match self.get(&RunKey::engine(key)) {
+    pub fn engine(&self, spec: EngineSpec) -> u64 {
+        match self.get(&Job::from(spec).key()) {
             JobResult::Count(c) => *c,
-            other => panic!("cell type mismatch for engine cell {key:?}: {other:?}"),
+            other => panic!("cell type mismatch for engine cell {spec:?}: {other:?}"),
         }
     }
 }

@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
 use qprac_bench::{execute_with, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor};
 use qprac_serve::{ChaosSpec, RetryPolicy, Server, ServerConfig};
@@ -17,8 +18,16 @@ use sim::{MitigationKind, RunCache, SystemConfig};
 
 const INSTR: u64 = 400;
 
+/// The engine cell: the cheapest real attack-engine run.
+const PROBE: EngineSpec = EngineSpec::Wave {
+    nmit: 1,
+    nbo: 8,
+    psq: 5,
+    r1: 4,
+};
+
 /// A small heterogeneous suite: two workloads under two mitigations
-/// (sharing baselines) plus an engine cell that must stay client-side.
+/// (sharing baselines) plus an attack-engine cell.
 fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
     let base = SystemConfig::paper_default()
         .with_instruction_limit(INSTR)
@@ -29,10 +38,13 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
     for w in workloads {
         let spec = WorkloadSpec::by_name(w).unwrap();
         for cfg in [&base, &qprac] {
-            jobs.push(Job::workload(cfg.clone(), spec.clone()));
+            jobs.push(Job::Workload {
+                cfg: cfg.clone(),
+                workload: spec.clone(),
+            });
         }
     }
-    jobs.push(Job::engine("failover:probe", || 4242));
+    jobs.push(PROBE.into());
     let emit_dir = dir.clone();
     vec![ExperimentSpec::new("failover", jobs, move |r| {
         let mut csv = CsvWriter::create_in(&emit_dir, "failover", &["workload", "qprac", "probe"])?;
@@ -40,7 +52,7 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
             .with_instruction_limit(INSTR)
             .with_mitigation(MitigationKind::None);
         let qprac = base.clone().with_mitigation(MitigationKind::Qprac);
-        let probe = r.engine("failover:probe");
+        let probe = r.engine(PROBE);
         for w in ["ycsb/a_like", "ycsb/c_like"] {
             let spec = WorkloadSpec::by_name(w).unwrap();
             let b = r.stats(&base, &spec);
@@ -127,7 +139,6 @@ fn flaky_cluster_emits_byte_identical_csvs() {
     let dead_owned = specs[0]
         .jobs
         .iter()
-        .filter(|j| !matches!(j, Job::Engine { .. }))
         .filter(|j| remote.shard_map().shard_for(&j.key()) == 0)
         .count() as u64;
     let stats = remote.fault_stats();
@@ -157,7 +168,7 @@ fn all_shards_down_degrades_to_the_local_pool() {
     .unwrap();
     let local_csv = read_csv(&local_dir);
 
-    // Two shards, both refusing connections: every remotable cell
+    // Two shards, both refusing connections: every cell
     // must exhaust its shard's ladder fast (or hit the down table)
     // and complete on the local pool.
     let remote = RemoteExecutor::new(&format!("{},{}", dead_addr(), dead_addr()))
@@ -182,8 +193,8 @@ fn all_shards_down_degrades_to_the_local_pool() {
     );
     assert_eq!(
         remote.fault_stats().local_fallbacks.load(Ordering::Relaxed),
-        4,
-        "all 4 remotable workload cells degrade locally (the engine cell never leaves)"
+        5,
+        "all 5 cells degrade locally, the engine cell included"
     );
 
     for dir in [local_dir, down_dir] {

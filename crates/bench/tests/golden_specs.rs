@@ -135,3 +135,45 @@ fn legacy_canonical_keys_are_byte_identical() {
         );
     }
 }
+
+/// Canonical engine-key golden: one literal per attack, so a change to
+/// the rendering (field order, spelling) cannot silently orphan the
+/// cached engine cells of every run cache and shard.
+#[test]
+fn canonical_engine_keys_are_byte_identical() {
+    use attack_engine::EngineSpec;
+    use qprac_bench::Job;
+    let pinned = [
+        (
+            EngineSpec::ToggleForget { queue: 4, tbit: 6 },
+            "engine:toggle_forget;queue=4;tbit=6",
+        ),
+        (
+            EngineSpec::FillEscape {
+                queue: 4,
+                threshold: 64,
+            },
+            "engine:fill_escape;queue=4;threshold=64",
+        ),
+        (
+            EngineSpec::BlockedTbit { queue: 4, tbit: 6 },
+            "engine:blocked_tbit;queue=4;tbit=6",
+        ),
+        (
+            EngineSpec::Wave {
+                nmit: 1,
+                nbo: 32,
+                psq: 5,
+                r1: 200,
+            },
+            "engine:wave;nmit=1;nbo=32;psq=5;r1=200",
+        ),
+    ];
+    for (spec, golden) in pinned {
+        assert_eq!(
+            Job::from(spec).key().as_str(),
+            golden,
+            "canonical key drifted for {spec:?}"
+        );
+    }
+}

@@ -6,6 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
+use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
 use qprac_bench::{execute_with, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor};
 use qprac_serve::{Client, Server, ServerConfig};
@@ -13,9 +14,17 @@ use sim::{geomean, MitigationKind, RunCache, SystemConfig};
 
 const INSTR: u64 = 500;
 
+/// The engine cell: the cheapest real attack-engine run.
+const PROBE: EngineSpec = EngineSpec::Wave {
+    nmit: 1,
+    nbo: 8,
+    psq: 5,
+    r1: 4,
+};
+
 /// A small but heterogeneous suite: workload cells under two
 /// mitigations (sharing one baseline), a bandwidth-attack cell, and an
-/// engine cell that must run client-side even in remote mode.
+/// attack-engine cell.
 fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
     let base = SystemConfig::paper_default()
         .with_instruction_limit(INSTR)
@@ -27,11 +36,18 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
     for w in workloads {
         let spec = WorkloadSpec::by_name(w).unwrap();
         for cfg in [&base, &qprac, &noop] {
-            jobs.push(Job::workload(cfg.clone(), spec.clone()));
+            jobs.push(Job::Workload {
+                cfg: cfg.clone(),
+                workload: spec.clone(),
+            });
         }
     }
-    jobs.push(Job::attack(qprac.clone(), 4, 20_000));
-    jobs.push(Job::engine("equiv:probe", || 1234));
+    jobs.push(Job::Attack {
+        cfg: qprac.clone(),
+        banks: 4,
+        window: 20_000,
+    });
+    jobs.push(PROBE.into());
     let emit_dir = dir.clone();
     vec![ExperimentSpec::new("remote_equiv", jobs, move |r| {
         let mut csv = CsvWriter::create_in(
@@ -45,7 +61,7 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
         let qprac = base.clone().with_mitigation(MitigationKind::Qprac);
         let noop = base.clone().with_mitigation(MitigationKind::QpracNoOp);
         let attack = r.attack(&qprac, 4, 20_000);
-        let probe = r.engine("equiv:probe");
+        let probe = r.engine(PROBE);
         let mut ratios = Vec::new();
         for w in ["ycsb/a_like", "ycsb/c_like"] {
             let spec = WorkloadSpec::by_name(w).unwrap();
@@ -118,10 +134,9 @@ fn remote_execution_is_byte_identical_to_local() {
         "remote CSVs must be byte-identical to local execution"
     );
 
-    // The server simulated the 7 remotable cells; the engine cell never
-    // crossed the wire.
+    // The server simulated all 8 cells, the engine cell included.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 7);
+    assert_eq!(client.stat("simulated").unwrap(), 8);
 
     // A second remote pass is answered entirely from the server's
     // caches: CSVs identical, simulated counter unchanged.
@@ -136,10 +151,10 @@ fn remote_execution_is_byte_identical_to_local() {
     assert_eq!(read_csv(&warm_dir), local_csv);
     assert_eq!(
         client.stat("simulated").unwrap(),
-        7,
+        8,
         "warm pass re-simulated"
     );
-    assert!(client.stat("mem_hits").unwrap() >= 7);
+    assert!(client.stat("mem_hits").unwrap() >= 8);
 
     for d in [local_dir, remote_dir, warm_dir] {
         let _ = std::fs::remove_dir_all(d);
@@ -149,7 +164,7 @@ fn remote_execution_is_byte_identical_to_local() {
 /// The mitigation arena end to end, local vs `QPRAC_REMOTE`: every
 /// registered design — including the three zoo additions — must
 /// round-trip the key-only wire protocol (`RunKey::parse_text` →
-/// `CellSpec::execute` on the server) and produce byte-identical CSVs.
+/// `CellSpec::run` on the server) and produce byte-identical CSVs.
 /// Runs the real binary as subprocesses so the env-driven remote
 /// selection path is the one exercised, without mutating this process'
 /// environment.

@@ -7,7 +7,6 @@
 use std::collections::HashSet;
 
 use qprac_bench::experiments::run_all_specs;
-use qprac_bench::Job;
 use qprac_serve::ShardMap;
 use sim::RunKey;
 
@@ -17,15 +16,10 @@ const CI_SHARDS: &str = "127.0.0.1:7131,127.0.0.1:7132,127.0.0.1:7133";
 fn run_all_keys() -> Vec<RunKey> {
     let mut seen: HashSet<RunKey> = HashSet::new();
     let mut keys = Vec::new();
-    for spec in &run_all_specs() {
-        for job in &spec.jobs {
-            if matches!(job, Job::Engine { .. }) {
-                continue; // engine cells never travel
-            }
-            let key = job.key();
-            if seen.insert(key.clone()) {
-                keys.push(key);
-            }
+    for job in run_all_specs().iter().flat_map(|spec| &spec.jobs) {
+        let key = job.key();
+        if seen.insert(key.clone()) {
+            keys.push(key);
         }
     }
     keys
@@ -41,7 +35,7 @@ fn run_all_population_balances_across_three_shards() {
     let keys = run_all_keys();
     assert!(
         keys.len() > 1000,
-        "run_all population shrank to {} remotable keys — balance bound meaningless",
+        "run_all population shrank to {} keys — balance bound meaningless",
         keys.len()
     );
     let mut counts = vec![0usize; map.len()];

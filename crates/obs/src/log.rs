@@ -7,9 +7,8 @@
 //! are unchanged). Unparsable values fall back to the default rather
 //! than erroring: logging must never take the process down.
 //!
-//! Flag-gated diagnostics (`QPRAC_DEBUG_PROGRESS`, `QPRAC_FF_STATS`)
-//! use [`raw`]: their own env flag is the opt-in, so they print
-//! regardless of the level filter.
+//! The simulator's own diagnostics — periodic per-core progress lines
+//! and the fast-forward cycle accounting at run end — log at `debug`.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -69,12 +68,6 @@ pub fn emit(level: Level, args: fmt::Arguments<'_>) {
     }
 }
 
-/// Print one line to stderr unconditionally — for diagnostics that are
-/// already gated by their own env flag.
-pub fn raw(args: fmt::Arguments<'_>) {
-    eprintln!("{args}");
-}
-
 /// Log at [`Level::Error`].
 #[macro_export]
 macro_rules! error {
@@ -104,14 +97,6 @@ macro_rules! info {
 macro_rules! debug {
     ($($arg:tt)*) => {
         $crate::log::emit($crate::log::Level::Debug, ::std::format_args!($($arg)*))
-    };
-}
-
-/// Log unconditionally (diagnostics gated by their own env flag).
-#[macro_export]
-macro_rules! rawln {
-    ($($arg:tt)*) => {
-        $crate::log::raw(::std::format_args!($($arg)*))
     };
 }
 

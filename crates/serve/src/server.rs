@@ -439,16 +439,14 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
             // followers (the property the chaos suite pins).
             chaos.kill_leader();
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute()))
-            .map_err(|panic| {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic>");
-                format!("simulation panicked: {msg}")
-            })?
-            .map_err(|e| format!("cannot execute cell: {e}"))?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| spec.run())).map_err(|panic| {
+            let msg = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string panic>");
+            format!("simulation panicked: {msg}")
+        })?;
         m.simulated.inc();
         let result = Arc::new(outcome);
         if let Err(e) = inner.disk.store(&key, &result) {

@@ -163,7 +163,7 @@ mod tests {
         }
         // RunKey routing is exactly the raw-hash routing over the key's
         // canonical text (RunKey::hash is the same FNV-1a).
-        let key = RunKey::engine("wave:probe");
+        let key = RunKey::workload(&sim::SystemConfig::paper_default(), "ycsb/a_like");
         assert_eq!(map.shard_for(&key), map.shard_for_hash(key.hash()));
         assert_eq!(
             map.addr_for(&key),

@@ -1,7 +1,7 @@
 //! End-to-end service tests on an ephemeral port: single-flight
 //! coalescing under concurrent clients, the three cache tiers'
-//! hit counters, and graceful handling of malformed, truncated and
-//! non-executable requests.
+//! hit counters, engine cells, and graceful handling of malformed and
+//! truncated requests.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use qprac_serve::protocol::{read_response, Response};
 use qprac_serve::{ChaosSpec, Client, ClientError, Server, ServerConfig};
-use sim::{CellResult, MitigationKind, RunCache, RunKey, SystemConfig};
+use sim::{encode_cell, CellResult, MitigationKind, RunCache, RunKey, SystemConfig};
 
 /// A tiny-but-real workload cell (~milliseconds of simulation).
 fn small_key(instr: u64) -> RunKey {
@@ -108,9 +108,13 @@ fn malformed_requests_get_err_and_the_connection_survives() {
     let ghost = RunKey::workload(&cfg, "nope/nope");
     let err = client.run_key_text(ghost.as_str()).unwrap_err();
     assert!(err.to_string().contains("unknown workload"), "{err}");
-    // Engine cells are client-side only.
-    let err = client.run_key_text("engine:wave:probe").unwrap_err();
-    assert!(err.to_string().contains("client-side"), "{err}");
+    // An engine key whose pool would overflow the bank.
+    let err = client
+        .run_key_text("engine:wave;nmit=1;nbo=32;psq=5;r1=20000")
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "{err}");
+    assert!(err.to_string().contains("r1=20000"), "{err}");
+    assert!(!err.to_string().contains("panicked"), "{err}");
     // The same connection still works for a valid request afterwards.
     client.ping().expect("connection survived the ERRs");
     assert!(client.stat("errors").unwrap() >= 4);
@@ -129,6 +133,16 @@ fn malformed_requests_get_err_and_the_connection_survives() {
         read_response(&mut reader).unwrap(),
         Response::Ok("pong".into())
     );
+}
+
+#[test]
+fn engine_keys_are_served_byte_identical_to_a_local_run() {
+    let addr = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let spec = RunKey::parse_text("engine:wave;nmit=1;nbo=8;psq=5;r1=4").unwrap();
+    let served = client.run(&spec.key()).expect("engine cell served");
+    assert_eq!(encode_cell(&served), encode_cell(&spec.run()));
+    assert_eq!(client.stat("simulated").unwrap(), 1);
 }
 
 #[test]

@@ -134,10 +134,10 @@ pub(crate) fn dir_value(value: String, default: &str) -> Option<std::path::PathB
 /// Read a boolean flag from the environment: set to anything except the
 /// empty string or `"0"` means *on*; unset, empty or `"0"` means *off*.
 ///
-/// Every `QPRAC_*` on/off switch (`QPRAC_DEBUG_PROGRESS`,
-/// `QPRAC_FF_STATS`, `QPRAC_NO_FASTFORWARD`, `QPRAC_FULL_SUITE`) goes
-/// through this helper; a bare `env::var(..).is_ok()` would treat
-/// `FLAG=0` as enabled, which has bitten twice now.
+/// Every `QPRAC_*` on/off switch (`QPRAC_NO_FASTFORWARD`,
+/// `QPRAC_FULL_SUITE`) goes through this helper; a bare
+/// `env::var(..).is_ok()` would treat `FLAG=0` as enabled, which has
+/// bitten twice now.
 pub fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| flag_value_enables(&v))
 }

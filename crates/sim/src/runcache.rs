@@ -257,6 +257,11 @@ mod tests {
     use crate::attack::BwAttackStats;
     use crate::config::{MitigationKind, SystemConfig};
 
+    /// A distinct key per tag (the cache never parses key text).
+    fn tag_key(tag: &str) -> RunKey {
+        RunKey::workload(&SystemConfig::paper_default(), tag)
+    }
+
     fn temp_cache(tag: &str) -> (RunCache, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("qprac-runcache-test-{}-{tag}", std::process::id()));
@@ -279,7 +284,9 @@ mod tests {
         cache.store(&key, &val).unwrap();
         assert_eq!(cache.load(&key), Some(val));
 
-        let ck = RunKey::engine("wave:probe");
+        let ck =
+            crate::CellSpec::from(attack_engine::EngineSpec::ToggleForget { queue: 4, tbit: 6 })
+                .key();
         cache.store(&ck, &CellResult::Count(99)).unwrap();
         assert_eq!(cache.load(&ck), Some(CellResult::Count(99)));
         let _ = fs::remove_dir_all(dir);
@@ -291,7 +298,7 @@ mod tests {
     #[test]
     fn legacy_text_entry_misses_and_ages_out() {
         let (cache, dir) = temp_cache("legacy");
-        let key = RunKey::engine("legacy");
+        let key = tag_key("legacy");
         let txt = dir.join(format!("{}.txt", key.file_stem()));
         fs::create_dir_all(&dir).unwrap();
         fs::write(&txt, format!("key={}\nkind=count\n7", key.as_str())).unwrap();
@@ -344,7 +351,7 @@ mod tests {
     #[test]
     fn every_single_byte_flip_of_a_binary_entry_is_a_miss() {
         let (cache, dir) = temp_cache("flip");
-        let key = RunKey::engine("flip-me");
+        let key = tag_key("flip-me");
         cache.store(&key, &CellResult::Count(0xDEAD_BEEF)).unwrap();
         let path = cache.path(&key).unwrap();
         let bytes = fs::read(&path).unwrap();
@@ -365,10 +372,10 @@ mod tests {
     #[test]
     fn key_mismatch_in_a_cache_file_is_a_miss() {
         let (cache, dir) = temp_cache("mismatch");
-        let key = RunKey::engine("cell-a");
+        let key = tag_key("cell-a");
         cache.store(&key, &CellResult::Count(1)).unwrap();
         // Corrupt: move the file to where another key would look.
-        let other = RunKey::engine("cell-b");
+        let other = tag_key("cell-b");
         fs::rename(cache.path(&key).unwrap(), cache.path(&other).unwrap()).unwrap();
         assert!(cache.load(&other).is_none(), "stored key must be verified");
         let _ = fs::remove_dir_all(dir);
@@ -377,7 +384,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_stores() {
         let cache = RunCache::disabled();
-        let key = RunKey::engine("nope");
+        let key = tag_key("nope");
         cache.store(&key, &CellResult::Count(5)).unwrap();
         assert!(cache.load(&key).is_none());
         assert_eq!(cache.gc(), GcReport::default());
@@ -387,7 +394,7 @@ mod tests {
     fn gc_evicts_oldest_entries_first_until_under_budget() {
         let (cache, dir) = temp_cache("gc");
         // Three entries, each given a distinct mtime: k0 oldest.
-        let keys: Vec<RunKey> = (0..3).map(|i| RunKey::engine(&format!("gc-{i}"))).collect();
+        let keys: Vec<RunKey> = (0..3).map(|i| tag_key(&format!("gc-{i}"))).collect();
         let t0 = SystemTime::now() - std::time::Duration::from_secs(3000);
         for (i, key) in keys.iter().enumerate() {
             cache.store(key, &CellResult::Count(i as u64)).unwrap();
@@ -428,7 +435,7 @@ mod tests {
         // order, regardless of store or directory iteration order.
         let keys: Vec<RunKey> = [3u64, 0, 2, 1]
             .iter()
-            .map(|i| RunKey::engine(&format!("tie-{i}")))
+            .map(|i| tag_key(&format!("tie-{i}")))
             .collect();
         let stamp = SystemTime::now() - std::time::Duration::from_secs(1000);
         for key in &keys {
@@ -461,7 +468,7 @@ mod tests {
     #[test]
     fn store_commits_atomically_and_leaves_no_temp_files() {
         let (cache, dir) = temp_cache("atomic");
-        let key = RunKey::engine("atomic");
+        let key = tag_key("atomic");
         cache.store(&key, &CellResult::Count(11)).unwrap();
         // Overwrite of a live entry goes through the same commit path.
         cache.store(&key, &CellResult::Count(12)).unwrap();
@@ -491,7 +498,7 @@ mod tests {
         fs::write(&blocker, b"not a directory").unwrap();
         let cache = RunCache::at(&blocker);
         let clone = cache.clone(); // counter is shared across clones
-        let key = RunKey::engine("blocked");
+        let key = tag_key("blocked");
         assert!(cache.store(&key, &CellResult::Count(1)).is_err());
         assert!(clone.store(&key, &CellResult::Count(2)).is_err());
         assert_eq!(cache.failed_stores(), 2);
@@ -502,7 +509,7 @@ mod tests {
     #[test]
     fn gc_sweeps_stale_temp_files_from_crashed_writers() {
         let (cache, dir) = temp_cache("tmp-sweep");
-        let key = RunKey::engine("survivor");
+        let key = tag_key("survivor");
         cache.store(&key, &CellResult::Count(3)).unwrap();
         // A crashed writer's leftover: entry-shaped name, tmp extension.
         let stale = dir.join("deadbeefdeadbeef.qbc.tmp12345-0");

@@ -1,11 +1,11 @@
 //! Stable run identity for the experiment-orchestration layer.
 //!
-//! A [`RunKey`] names one simulation cell — a `(SystemConfig, workload)`
-//! pair (or a bandwidth-attack / attack-engine cell) — as a canonical
-//! text string. Two cells with the same key are guaranteed to produce
-//! identical statistics, so the bench runner simulates each key exactly
-//! once per suite (and, with `QPRAC_RUN_CACHE`, once per cache
-//! lifetime).
+//! A [`RunKey`] names one simulation cell ([`CellSpec`]) — a
+//! `(SystemConfig, workload)` pair, a mix, a bandwidth-attack cell or an
+//! attack-engine run — as a canonical text string. Two cells with the
+//! same key are guaranteed to produce identical statistics, so the bench
+//! runner simulates each key exactly once per suite (and, with
+//! `QPRAC_RUN_CACHE`, once per cache lifetime).
 //!
 //! The canonical form spells every [`SystemConfig`] field in a fixed
 //! order (the constructor destructures the struct, so adding a field is
@@ -15,6 +15,8 @@
 //! so e.g. the `MitigationKind::None` baselines of every sensitivity
 //! sweep collapse onto one cell.
 
+use attack_engine::EngineSpec;
+use cpu_model::{WorkloadMix, WorkloadSpec};
 use dram_core::{MappingScheme, RfmKind};
 use mitigations::TokenError;
 
@@ -96,15 +98,6 @@ impl RunKey {
         }
     }
 
-    /// Key for a bench-side attack-engine cell (wave / toggle-forget /
-    /// fill-escape runs). The caller is responsible for encoding every
-    /// parameter of the run into `desc`.
-    pub fn engine(desc: &str) -> Self {
-        RunKey {
-            text: format!("engine:{desc}"),
-        }
-    }
-
     /// The canonical text form.
     pub fn as_str(&self) -> &str {
         &self.text
@@ -132,58 +125,40 @@ impl RunKey {
     /// Only *canonical* text is accepted: the parsed spec must re-render
     /// to exactly the input (`CellSpec::key`), so a server and its
     /// clients can never disagree on cache identity. Any deviation — an
-    /// unknown kind, a missing config field, a non-normalized
-    /// unmitigated config — is an error, never a guess. A key naming a
+    /// unknown kind, workload or mix, a missing or reordered field, a
+    /// non-normalized unmitigated config, engine parameters the attack
+    /// cannot run — is an error, never a guess. A key naming a
     /// mitigation this build does not register gets the distinct
     /// [`KeyError::UnknownMitigation`] so peers can degrade gracefully.
     pub fn parse_text(text: &str) -> Result<CellSpec, KeyError> {
         let (kind, rest) = text
             .split_once(':')
             .ok_or_else(|| format!("malformed run key {text:?}: missing kind"))?;
-        let spec = match kind {
-            "engine" => CellSpec::Engine { desc: rest.into() },
-            "workload" | "mix" => {
-                let (name, cfg_text) = rest
-                    .split_once(';')
-                    .ok_or_else(|| format!("malformed {kind} key {text:?}: missing config"))?;
-                let cfg = parse_config(cfg_text)?;
-                if kind == "workload" {
-                    CellSpec::Workload {
-                        cfg,
-                        workload: name.into(),
-                    }
-                } else {
-                    CellSpec::Mix {
-                        cfg,
-                        mix: name.into(),
-                    }
+        let spec = if kind == "engine" {
+            CellSpec::Engine(parse_engine(rest)?)
+        } else {
+            let (head, cfg_text) = rest
+                .split_once(';')
+                .ok_or_else(|| format!("malformed {kind} key {text:?}: missing config"))?;
+            let cfg = parse_config(cfg_text)?;
+            match kind {
+                "workload" => CellSpec::Workload {
+                    cfg,
+                    workload: WorkloadSpec::by_name(head)
+                        .ok_or_else(|| format!("unknown workload {head:?}"))?,
+                },
+                "mix" => CellSpec::Mix {
+                    cfg,
+                    mix: WorkloadMix::by_name(head)
+                        .ok_or_else(|| format!("unknown mix {head:?}"))?,
+                },
+                "attack" => {
+                    let mut f = Fields(head.split(':'));
+                    let (banks, window) = (f.num("banks")?, f.num("window")?);
+                    f.end()?;
+                    CellSpec::Attack { cfg, banks, window }
                 }
-            }
-            "attack" => {
-                let (params, cfg_text) = rest
-                    .split_once(';')
-                    .ok_or_else(|| format!("malformed attack key {text:?}: missing config"))?;
-                let (banks_kv, window_kv) = params
-                    .split_once(':')
-                    .ok_or_else(|| format!("malformed attack params {params:?}"))?;
-                let banks = banks_kv
-                    .strip_prefix("banks=")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("bad attack banks in {params:?}"))?;
-                let window = window_kv
-                    .strip_prefix("window=")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("bad attack window in {params:?}"))?;
-                CellSpec::Attack {
-                    cfg: parse_config(cfg_text)?,
-                    banks,
-                    window,
-                }
-            }
-            other => {
-                return Err(KeyError::Malformed(format!(
-                    "unknown run-key kind {other:?}"
-                )))
+                other => return Err(format!("unknown run-key kind {other:?}").into()),
             }
         };
         if spec.key().as_str() != text {
@@ -196,77 +171,71 @@ impl RunKey {
     }
 }
 
-/// A parsed, executable description of one simulation cell — what a
-/// [`RunKey`] names. `Workload`/`Mix`/`Attack` cells are fully described
-/// by their key and can therefore run anywhere (this is what makes the
-/// `qprac-serve` wire protocol key-only); `Engine` cells wrap arbitrary
-/// bench-side closures and must execute on the client.
+/// One simulation cell: what a [`RunKey`] names, with its workload, mix
+/// or attack already resolved. Every cell is fully described by its key
+/// and can therefore run anywhere — in the bench pool, on a
+/// `qprac-serve` shard — and be cached under that key.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellSpec {
     /// [`crate::run_workload`]: `cfg.cores` homogeneous copies.
     Workload {
-        /// Full system configuration (canonical form).
+        /// Full system configuration.
         cfg: SystemConfig,
-        /// Workload name (`cpu_model::WorkloadSpec::by_name`).
-        workload: String,
+        /// Workload run on every core.
+        workload: WorkloadSpec,
     },
     /// [`crate::run_mix`]: one heterogeneous mix.
     Mix {
-        /// Full system configuration (canonical form).
+        /// Full system configuration.
         cfg: SystemConfig,
-        /// Mix name (`cpu_model::WorkloadMix::by_name`).
-        mix: String,
+        /// The mix (one workload per core slot).
+        mix: WorkloadMix,
     },
     /// [`crate::run_bandwidth_attack`].
     Attack {
-        /// Full system configuration (canonical form).
+        /// Full system configuration.
         cfg: SystemConfig,
         /// Banks hammered simultaneously.
         banks: usize,
         /// Attack window in memory cycles.
         window: u64,
     },
-    /// An opaque bench-side cell; not executable outside the process
-    /// that declared it.
-    Engine {
-        /// The full descriptor after `engine:`.
-        desc: String,
-    },
+    /// An activation-level attack-engine run ([`EngineSpec::run`]).
+    Engine(EngineSpec),
 }
 
 impl CellSpec {
-    /// Re-render the canonical key this spec answers to.
+    /// The cell's global identity: equal keys are simulated once.
     pub fn key(&self) -> RunKey {
         match self {
-            CellSpec::Workload { cfg, workload } => RunKey::workload(cfg, workload),
-            CellSpec::Mix { cfg, mix } => RunKey::mix(cfg, mix),
+            CellSpec::Workload { cfg, workload } => RunKey::workload(cfg, workload.name),
+            CellSpec::Mix { cfg, mix } => RunKey::mix(cfg, mix.name),
             CellSpec::Attack { cfg, banks, window } => RunKey::attack(cfg, *banks, *window),
-            CellSpec::Engine { desc } => RunKey::engine(desc),
+            CellSpec::Engine(spec) => RunKey {
+                text: format!("engine:{}", engine_text(spec)),
+            },
         }
     }
 
-    /// Execute the cell and produce its result. Fails (rather than
-    /// panicking) on unknown workload/mix names and on `Engine` cells,
-    /// which only the declaring client can run.
-    pub fn execute(&self) -> Result<CellResult, String> {
+    /// Execute the cell. Cells from [`RunKey::parse_text`] always run;
+    /// an engine cell built in code must pass [`EngineSpec::check`].
+    pub fn run(&self) -> CellResult {
         match self {
             CellSpec::Workload { cfg, workload } => {
-                let spec = cpu_model::WorkloadSpec::by_name(workload)
-                    .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-                Ok(CellResult::Stats(Box::new(crate::run_workload(cfg, &spec))))
+                CellResult::Stats(Box::new(crate::run_workload(cfg, workload)))
             }
-            CellSpec::Mix { cfg, mix } => {
-                let spec = cpu_model::WorkloadMix::by_name(mix)
-                    .ok_or_else(|| format!("unknown mix {mix:?}"))?;
-                Ok(CellResult::Stats(Box::new(crate::run_mix(cfg, &spec))))
+            CellSpec::Mix { cfg, mix } => CellResult::Stats(Box::new(crate::run_mix(cfg, mix))),
+            CellSpec::Attack { cfg, banks, window } => {
+                CellResult::Attack(crate::run_bandwidth_attack(cfg, *banks, *window))
             }
-            CellSpec::Attack { cfg, banks, window } => Ok(CellResult::Attack(
-                crate::run_bandwidth_attack(cfg, *banks, *window),
-            )),
-            CellSpec::Engine { desc } => Err(format!(
-                "engine cell {desc:?} wraps a client-side closure and cannot execute remotely"
-            )),
+            CellSpec::Engine(spec) => CellResult::Count(spec.run()),
         }
+    }
+}
+
+impl From<EngineSpec> for CellSpec {
+    fn from(spec: EngineSpec) -> Self {
+        CellSpec::Engine(spec)
     }
 }
 
@@ -350,61 +319,127 @@ fn canonical_config(cfg: &SystemConfig) -> String {
     )
 }
 
+/// Render an [`EngineSpec`] as `attack;k=v;...`, fields in
+/// declaration order.
+fn engine_text(spec: &EngineSpec) -> String {
+    match *spec {
+        EngineSpec::ToggleForget { queue, tbit } => {
+            format!("toggle_forget;queue={queue};tbit={tbit}")
+        }
+        EngineSpec::FillEscape { queue, threshold } => {
+            format!("fill_escape;queue={queue};threshold={threshold}")
+        }
+        EngineSpec::BlockedTbit { queue, tbit } => {
+            format!("blocked_tbit;queue={queue};tbit={tbit}")
+        }
+        EngineSpec::Wave { nmit, nbo, psq, r1 } => {
+            format!("wave;nmit={nmit};nbo={nbo};psq={psq};r1={r1}")
+        }
+    }
+}
+
+/// Parse the output of [`engine_text`], rejecting parameters the
+/// attack cannot run ([`EngineSpec::check`]).
+fn parse_engine(text: &str) -> Result<EngineSpec, KeyError> {
+    let (attack, params) = text
+        .split_once(';')
+        .ok_or_else(|| format!("malformed engine key {text:?}: missing parameters"))?;
+    let mut f = Fields(params.split(';'));
+    let spec = match attack {
+        "toggle_forget" => EngineSpec::ToggleForget {
+            queue: f.num("queue")?,
+            tbit: f.num("tbit")?,
+        },
+        "fill_escape" => EngineSpec::FillEscape {
+            queue: f.num("queue")?,
+            threshold: f.num("threshold")?,
+        },
+        "blocked_tbit" => EngineSpec::BlockedTbit {
+            queue: f.num("queue")?,
+            tbit: f.num("tbit")?,
+        },
+        "wave" => EngineSpec::Wave {
+            nmit: f.num("nmit")?,
+            nbo: f.num("nbo")?,
+            psq: f.num("psq")?,
+            r1: f.num("r1")?,
+        },
+        other => return Err(format!("unknown engine attack {other:?}").into()),
+    };
+    f.end()?;
+    spec.check()?;
+    Ok(spec)
+}
+
+/// Reader over `name=value` fields (`;`-separated, `:` between attack
+/// parameters) that must appear in exactly the order asked for.
+struct Fields<'a>(std::str::Split<'a, char>);
+
+impl<'a> Fields<'a> {
+    fn next(&mut self, name: &str) -> Result<&'a str, String> {
+        let kv = self
+            .0
+            .next()
+            .ok_or_else(|| format!("key truncated before field {name:?}"))?;
+        kv.strip_prefix(name)
+            .and_then(|r| r.strip_prefix('='))
+            .ok_or_else(|| format!("expected field {name:?}, got {kv:?}"))
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let v = self.next(name)?;
+        v.parse()
+            .map_err(|e| format!("bad field {name}={v:?}: {e}"))
+    }
+
+    fn end(mut self) -> Result<(), String> {
+        match self.0.next() {
+            Some(extra) => Err(format!("trailing field {extra:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Parse the output of [`canonical_config`] back into a
 /// [`SystemConfig`]. Field order, count and spelling must match the
 /// canonical form exactly (the caller additionally verifies the
 /// re-rendered key equals the input, so normalization violations are
 /// caught there).
 fn parse_config(text: &str) -> Result<SystemConfig, KeyError> {
-    let mut fields = text.split(';');
-    let mut next = |name: &str| -> Result<String, String> {
-        let kv = fields
-            .next()
-            .ok_or_else(|| format!("config truncated before field {name:?}"))?;
-        kv.strip_prefix(name)
-            .and_then(|r| r.strip_prefix('='))
-            .map(str::to_string)
-            .ok_or_else(|| format!("expected config field {name:?}, got {kv:?}"))
-    };
-    fn num<T: std::str::FromStr>(name: &str, v: String) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.parse()
-            .map_err(|e| format!("bad config field {name}={v:?}: {e}"))
-    }
-    let cores = num("cores", next("cores")?)?;
-    let channels = num("channels", next("channels")?)?;
-    let instr_limit = num("instr", next("instr")?)?;
-    let mitigation = mitigations::parse_token(&next("mit")?)?;
-    let nbo = num("nbo", next("nbo")?)?;
-    let nmit = num("nmit", next("nmit")?)?;
-    let psq_size = num("psq", next("psq")?)?;
-    let proactive_per_refs = num("pro", next("pro")?)?;
-    let alert_rfm_kind = match next("rfm")?.as_str() {
+    let mut f = Fields(text.split(';'));
+    let cores = f.num("cores")?;
+    let channels = f.num("channels")?;
+    let instr_limit = f.num("instr")?;
+    let mitigation = mitigations::parse_token(f.next("mit")?)?;
+    let nbo = f.num("nbo")?;
+    let nmit = f.num("nmit")?;
+    let psq_size = f.num("psq")?;
+    let proactive_per_refs = f.num("pro")?;
+    let alert_rfm_kind = match f.next("rfm")? {
         "ab" => RfmKind::AllBank,
         "sb" => RfmKind::SameBank,
         "pb" => RfmKind::PerBank,
         other => return Err(format!("unknown rfm token {other:?}").into()),
     };
-    let plain_timing = match next("plain")?.as_str() {
+    let plain_timing = match f.next("plain")? {
         "true" => true,
         "false" => false,
         other => return Err(format!("bad plain flag {other:?}").into()),
     };
-    let mapping = match next("map")?.as_str() {
+    let mapping = match f.next("map")? {
         "rbc" => MappingScheme::RowBankCol,
         "mop-xor" => MappingScheme::MopXor,
         other => return Err(format!("unknown mapping token {other:?}").into()),
     };
-    let seed_text = next("seed")?;
+    let seed_text = f.next("seed")?;
     let seed = seed_text
         .strip_prefix("0x")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| format!("bad seed {seed_text:?}"))?;
-    if let Some(extra) = fields.next() {
-        return Err(format!("trailing config field {extra:?}").into());
-    }
+    f.end()?;
     Ok(SystemConfig {
         cores,
         channels,
@@ -425,6 +460,28 @@ fn parse_config(text: &str) -> Result<SystemConfig, KeyError> {
 mod tests {
     use super::*;
     use crate::config::MitigationKind;
+
+    fn wave(nmit: u32, nbo: u32, psq: usize, r1: u64) -> EngineSpec {
+        EngineSpec::Wave { nmit, nbo, psq, r1 }
+    }
+
+    /// One key per [`EngineSpec`] variant.
+    fn engine_keys() -> Vec<RunKey> {
+        [
+            EngineSpec::ToggleForget { queue: 4, tbit: 6 },
+            EngineSpec::FillEscape {
+                queue: 64,
+                threshold: 4096,
+            },
+            EngineSpec::BlockedTbit {
+                queue: 16,
+                tbit: 12,
+            },
+            wave(1, 32, 5, 200),
+        ]
+        .map(|e| CellSpec::Engine(e).key())
+        .to_vec()
+    }
 
     #[test]
     fn builder_order_does_not_change_the_key() {
@@ -489,6 +546,26 @@ mod tests {
         keys.push(RunKey::workload(&base, "ycsb/b_like"));
         keys.push(RunKey::mix(&base, "ycsb/a_like"));
         keys.push(RunKey::attack(&base, 8, 1000));
+        let engines = [
+            EngineSpec::ToggleForget { queue: 4, tbit: 6 },
+            EngineSpec::ToggleForget { queue: 4, tbit: 7 },
+            EngineSpec::FillEscape {
+                queue: 4,
+                threshold: 64,
+            },
+            EngineSpec::FillEscape {
+                queue: 8,
+                threshold: 64,
+            },
+            EngineSpec::BlockedTbit { queue: 4, tbit: 6 },
+            EngineSpec::BlockedTbit { queue: 16, tbit: 6 },
+            wave(1, 32, 5, 200),
+            wave(2, 32, 5, 200),
+            wave(1, 64, 5, 200),
+            wave(1, 32, 4, 200),
+            wave(1, 32, 5, 1000),
+        ];
+        keys.extend(engines.map(|e| CellSpec::Engine(e).key()));
         let mut dedup = keys.clone();
         dedup.sort();
         dedup.dedup();
@@ -553,7 +630,7 @@ mod tests {
             keys.push(RunKey::mix(cfg, "mix/hot_quad"));
             keys.push(RunKey::attack(cfg, 8, 123_456));
         }
-        keys.push(RunKey::engine("wave:nmit=1:nbo=32;r1=200"));
+        keys.extend(engine_keys());
         for key in keys {
             let spec = RunKey::parse_text(key.as_str())
                 .unwrap_or_else(|e| panic!("{key} failed to parse: {e}"));
@@ -568,7 +645,7 @@ mod tests {
             .with_instruction_limit(300);
         let key = RunKey::workload(&cfg, "ycsb/a_like");
         let spec = RunKey::parse_text(key.as_str()).unwrap();
-        let via_spec = spec.execute().unwrap();
+        let via_spec = spec.run();
         let direct = crate::run_workload(
             &cfg,
             &cpu_model::WorkloadSpec::by_name("ycsb/a_like").unwrap(),
@@ -601,12 +678,78 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("non-canonical"));
-        // Unknown names parse (the key is well-formed) but fail execute.
+        // Unknown names are rejected at parse time.
         let ghost = RunKey::workload(&SystemConfig::paper_default(), "nope/nope");
-        let spec = RunKey::parse_text(ghost.as_str()).unwrap();
-        assert!(spec.execute().unwrap_err().contains("unknown workload"));
-        let engine = RunKey::parse_text("engine:probe").unwrap();
-        assert!(engine.execute().unwrap_err().contains("client-side"));
+        let err = RunKey::parse_text(ghost.as_str()).unwrap_err();
+        assert!(err.to_string().contains("unknown workload"), "{err}");
+        let ghost = RunKey::mix(&SystemConfig::paper_default(), "mix/nope");
+        let err = RunKey::parse_text(ghost.as_str()).unwrap_err();
+        assert!(err.to_string().contains("unknown mix"), "{err}");
+        // Engine keys: garbage, missing, reordered, extra and
+        // non-canonical fields, and every parameter the attack functions
+        // would panic on or that lies far outside the figures' grids.
+        for bad in [
+            "engine:probe",
+            "engine:probe;queue=4;tbit=6",
+            "engine:wave:nmit=1:nbo=32:r1=200",
+            "engine:wave;nmit=1;nbo=32;r1=200",
+            "engine:wave;nbo=32;nmit=1;psq=5;r1=200",
+            "engine:wave;nmit=1;nbo=32;psq=5;r1=200;seed=1",
+            "engine:wave;nmit=1;nbo=32;psq=05;r1=200",
+            "engine:wave;nmit=1;nbo=32;psq=5;r1=-1",
+            "engine:toggle_forget;tbit=6;queue=4",
+            "engine:wave;nmit=3;nbo=32;psq=5;r1=200",
+            "engine:wave;nmit=8;nbo=32;psq=5;r1=200",
+            "engine:wave;nmit=1;nbo=32;psq=5;r1=13108",
+            "engine:wave;nmit=1;nbo=32;psq=5;r1=0",
+            "engine:wave;nmit=1;nbo=0;psq=5;r1=200",
+            "engine:wave;nmit=1;nbo=100000;psq=5;r1=200",
+            "engine:wave;nmit=1;nbo=32;psq=0;r1=200",
+            "engine:wave;nmit=1;nbo=32;psq=1000;r1=200",
+            "engine:toggle_forget;queue=0;tbit=6",
+            "engine:toggle_forget;queue=4;tbit=0",
+            "engine:toggle_forget;queue=4;tbit=32",
+            "engine:toggle_forget;queue=100000;tbit=6",
+            "engine:fill_escape;queue=0;threshold=64",
+            "engine:fill_escape;queue=4;threshold=32",
+            "engine:fill_escape;queue=4;threshold=1000000",
+            "engine:blocked_tbit;queue=0;tbit=6",
+            "engine:blocked_tbit;queue=4;tbit=40",
+        ] {
+            assert!(
+                matches!(RunKey::parse_text(bad), Err(KeyError::Malformed(_))),
+                "{bad} must be rejected"
+            );
+        }
+        // The largest pool that fits the bank is accepted.
+        assert!(RunKey::parse_text("engine:wave;nmit=1;nbo=32;psq=5;r1=13107").is_ok());
+    }
+
+    #[test]
+    fn parsed_engine_spec_runs_like_the_attack_function() {
+        use attack_engine::engine::EngineConfig;
+        use attack_engine::{blocked_tbit, fill_escape, toggle_forget, wave};
+        use qprac::{Qprac, QpracConfig};
+        let run = |text: &str| RunKey::parse_text(text).unwrap().run();
+        assert_eq!(
+            run("engine:toggle_forget;queue=4;tbit=10"),
+            CellResult::Count(toggle_forget::run(4, 10).target_unmitigated as u64)
+        );
+        assert_eq!(
+            run("engine:fill_escape;queue=64;threshold=4096"),
+            CellResult::Count(fill_escape::run(64, 4096).target_unmitigated as u64)
+        );
+        assert_eq!(
+            run("engine:blocked_tbit;queue=64;tbit=12"),
+            CellResult::Count(blocked_tbit::run(64, 12).target_unmitigated as u64)
+        );
+        let tracker = Qprac::new(QpracConfig::paper_default().with_nbo(16).with_psq_size(3));
+        let direct =
+            wave::run_with_setup(EngineConfig::paper_default(2), Box::new(tracker), 40, 15);
+        assert_eq!(
+            run("engine:wave;nmit=2;nbo=16;psq=3;r1=40"),
+            CellResult::Count(direct.max_unmitigated as u64)
+        );
     }
 
     #[test]
@@ -651,11 +794,13 @@ mod tests {
 
     #[test]
     fn file_stem_is_stable_hex() {
-        let k = RunKey::engine("wave:nmit=1:nbo=32:r1=200");
+        let k = RunKey::parse_text("engine:wave;nmit=1;nbo=32;psq=5;r1=200")
+            .unwrap()
+            .key();
         assert_eq!(k.file_stem(), format!("{:016x}", k.hash()));
         assert_eq!(k.file_stem().len(), 16);
         // Pin one hash value so a persisted cache written by an earlier
         // build stays addressable across releases.
-        assert_eq!(RunKey::engine("probe").hash(), 13_719_436_770_699_790_519);
+        assert_eq!(k.hash(), 9_392_734_972_138_381_317);
     }
 }

@@ -31,7 +31,7 @@ pub enum CellResult {
     Stats(Box<RunStats>),
     /// A bandwidth-attack run ([`crate::run_bandwidth_attack`]).
     Attack(BwAttackStats),
-    /// A bench-side attack-engine count (client-executed closures).
+    /// An attack-engine count (`attack_engine::EngineSpec::run`).
     Count(u64),
 }
 

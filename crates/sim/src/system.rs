@@ -529,7 +529,7 @@ impl System {
     /// Returns the aggregated statistics.
     pub fn run(mut self) -> RunStats {
         let safety_cap = self.cfg.instr_limit.saturating_mul(4000).max(10_000_000);
-        let debug = env_flag("QPRAC_DEBUG_PROGRESS");
+        let debug = qprac_obs::log::enabled(qprac_obs::log::Level::Debug);
         while self.finished_at.iter().any(Option::is_none) {
             if self.fast_forward {
                 self.skip_dead_cycles();
@@ -544,7 +544,7 @@ impl System {
                 let acts: u64 = self.mcs.iter().map(|m| m.device().stats().acts).sum();
                 let alerts: u64 = self.mcs.iter().map(|m| m.device().stats().alerts).sum();
                 let pending_reads: usize = self.mcs.iter().map(|m| m.pending_reads()).sum();
-                qprac_obs::rawln!(
+                qprac_obs::debug!(
                     "[sim] cycle={} cores(ret,out,rob)={per_core:?} acts={acts} alerts={alerts} pending_reads={pending_reads} pending_issue={} mshrs={}",
                     self.cpu_cycle,
                     self.mem.pending_total(),
@@ -581,16 +581,14 @@ impl System {
                 lane.idle_owed = 0;
             }
         }
-        if env_flag("QPRAC_FF_STATS") {
-            qprac_obs::rawln!(
-                "[sim] ff: cycles={} stepped={} skipped={} attempts={} jumps={}",
-                self.cpu_cycle,
-                self.cpu_cycle - self.ff_skipped,
-                self.ff_skipped,
-                self.ff_attempts,
-                self.ff_jumps,
-            );
-        }
+        qprac_obs::debug!(
+            "[sim] ff: cycles={} stepped={} skipped={} attempts={} jumps={}",
+            self.cpu_cycle,
+            self.cpu_cycle - self.ff_skipped,
+            self.ff_skipped,
+            self.ff_attempts,
+            self.ff_jumps,
+        );
         let core_ipc: Vec<f64> = self
             .finished_at
             .iter()
