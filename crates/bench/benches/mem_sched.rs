@@ -1,7 +1,8 @@
-//! Microbenchmarks of the event-driven scheduling paths added for the
-//! fast-forward core: the `next_event` aggregation the simulator uses to
-//! jump over dead cycles, and the alert-service cycle that runs off the
-//! device's precomputed RFM bank lists and incremental alert tracking.
+//! Microbenchmarks of the controller paths the fast-forward core leans
+//! on: `MemoryController::tick`, whose return value is the only event
+//! bound the simulator uses to jump over dead cycles, and the
+//! alert-service cycle that runs off the device's precomputed RFM bank
+//! lists and incremental alert tracking.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_core::{AddressMapper, BankId, DramConfig, DramDevice, MappingScheme, RowId};
@@ -19,22 +20,34 @@ fn qprac_controller() -> MemoryController {
 fn bench_sched(c: &mut Criterion) {
     let mut g = c.benchmark_group("mem_sched");
 
-    // `next_event` over a controller loaded with a 4-core-like mix of
-    // outstanding reads (one warm-up tick populates the wake hints, as
-    // in steady-state simulation).
-    g.bench_function("next_event_16_banks", |b| {
+    // One `tick` (scheduling sweep plus its event bound) per iteration
+    // over a controller serving a 4-core-like mix of 16 outstanding
+    // reads, reloaded whenever it drains, so the mean covers issuing,
+    // timing-blocked and refresh cycles alike.
+    g.bench_function("tick_16_banks", |b| {
         let mut mc = qprac_controller();
         let mapper = AddressMapper::new(&DramConfig::paper_default(), MappingScheme::MopXor);
         let mut line = 1u64;
-        for i in 0..16u64 {
-            line = line
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = mapper.decode(line % mapper.num_lines());
-            mc.enqueue(ReqKind::Read, addr, i, 0).unwrap();
-        }
-        mc.tick(0);
-        b.iter(|| black_box(mc.next_event(black_box(1))));
+        let load: Vec<_> = (0..16)
+            .map(|_| {
+                line = line
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                mapper.decode(line % mapper.num_lines())
+            })
+            .collect();
+        let mut now = 0;
+        b.iter(|| {
+            if mc.idle() {
+                for (i, &addr) in load.iter().enumerate() {
+                    mc.enqueue(ReqKind::Read, addr, i as u64, now).unwrap();
+                }
+            }
+            let bound = mc.tick(black_box(now));
+            mc.drain_completions();
+            now += 1;
+            bound
+        });
     });
 
     // One alert-service cycle while the RFM is still blocked by an open

@@ -1,9 +1,12 @@
 //! Per-bank and per-rank timing state machines.
 //!
-//! Timing legality is expressed through "earliest next command" registers
-//! that are advanced when commands issue. The device combines bank-level
-//! checks (this module) with rank-level checks (`tRRD`, `tFAW`, refresh
-//! blocking) and channel-level data-bus occupancy.
+//! Timing legality is expressed only through "earliest next command"
+//! registers that are advanced when commands issue; nothing here answers
+//! "is X legal now?" directly. The device combines the bank-level
+//! registers (this module) with the rank-level ones (`tRRD`, `tFAW`,
+//! refresh blocking) and channel-level data-bus occupancy into one
+//! `next_*_at` getter per command, and every legality check compares
+//! `now` against that getter.
 
 use std::collections::VecDeque;
 
@@ -34,22 +37,9 @@ impl BankTiming {
         }
     }
 
-    /// Whether an ACT to this bank is legal at `now` (bank-level only).
-    pub fn can_activate(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.next_act
-    }
-
-    /// Whether a PRE is legal at `now`.
-    pub fn can_precharge(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.next_pre
-    }
-
-    /// Whether a RD/WR is legal at `now` (bank-level only).
-    pub fn can_column(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.next_col
-    }
-
-    /// Earliest cycle at which an ACT could be legal (for idle detection).
+    /// Earliest cycle at which an ACT could be legal (meaningful while the
+    /// bank is precharged). Also the earliest REF/RFM: it subsumes the
+    /// post-PRE tRP and any earlier REF/RFM block.
     pub fn next_act_at(&self) -> Cycle {
         self.next_act
     }
@@ -70,10 +60,13 @@ impl BankTiming {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the command violates timing; the memory
-    /// controller must check [`can_activate`](Self::can_activate) first.
+    /// Panics (debug) if the command violates timing; the caller must
+    /// wait for [`next_act_at`](Self::next_act_at) first.
     pub fn activate(&mut self, row: RowId, now: Cycle, t: &Timing) {
-        debug_assert!(self.can_activate(now), "ACT issued while illegal");
+        debug_assert!(
+            self.open_row.is_none() && now >= self.next_act,
+            "ACT issued while illegal"
+        );
         self.open_row = Some(row);
         self.next_col = now + t.trcd;
         self.next_pre = now + t.tras;
@@ -82,34 +75,36 @@ impl BankTiming {
 
     /// Apply a PRE at `now`.
     pub fn precharge(&mut self, now: Cycle, t: &Timing) {
-        debug_assert!(self.can_precharge(now), "PRE issued while illegal");
+        debug_assert!(
+            self.open_row.is_some() && now >= self.next_pre,
+            "PRE issued while illegal"
+        );
         self.open_row = None;
         self.next_act = self.next_act.max(now + t.trp);
     }
 
     /// Apply a RD at `now`; extends the precharge constraint by tRTP.
     pub fn read(&mut self, now: Cycle, t: &Timing) {
-        debug_assert!(self.can_column(now), "RD issued while illegal");
+        debug_assert!(
+            self.open_row.is_some() && now >= self.next_col,
+            "RD issued while illegal"
+        );
         self.next_pre = self.next_pre.max(now + t.trtp);
     }
 
     /// Apply a WR at `now`; extends the precharge constraint by
     /// tCWL + burst + tWR (write recovery).
     pub fn write(&mut self, now: Cycle, t: &Timing) {
-        debug_assert!(self.can_column(now), "WR issued while illegal");
+        debug_assert!(
+            self.open_row.is_some() && now >= self.next_col,
+            "WR issued while illegal"
+        );
         self.next_pre = self.next_pre.max(now + t.tcwl + t.tbl + t.twr);
     }
 
     /// Block the bank (REF/RFM) until `until`.
     pub fn block_until(&mut self, until: Cycle) {
         self.next_act = self.next_act.max(until);
-    }
-
-    /// Whether the bank is precharged and has no pending timing that would
-    /// make a REF at `now` illegal (conservative: requires `next_act`
-    /// reached, which subsumes the post-PRE tRP requirement).
-    pub fn ready_for_refresh(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.next_act
     }
 }
 
@@ -147,37 +142,18 @@ impl RankState {
         }
     }
 
-    /// Whether rank-level constraints allow an ACT to `group` at `now`.
-    pub fn can_activate(&self, group: usize, now: Cycle, t: &Timing) -> bool {
-        if now < self.busy_until || now < self.next_act_any || now < self.next_act_group[group] {
-            return false;
-        }
-        // Four-activate window: the 4th-most-recent ACT must be at least
-        // tFAW in the past.
-        if self.recent_acts.len() == 4 {
-            if let Some(&oldest) = self.recent_acts.front() {
-                if now < oldest + t.tfaw {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Record an ACT to `group` at `now`.
     pub fn activate(&mut self, group: usize, now: Cycle, t: &Timing) {
-        debug_assert!(self.can_activate(group, now, t));
+        debug_assert!(
+            now >= self.act_ready_at(group, t),
+            "ACT issued while illegal"
+        );
         if self.recent_acts.len() == 4 {
             self.recent_acts.pop_front();
         }
         self.recent_acts.push_back(now);
         self.next_act_any = now + t.trrd_s;
         self.next_act_group[group] = now + t.trrd_l;
-    }
-
-    /// Whether rank-level constraints allow a column command to `group`.
-    pub fn can_column(&self, group: usize, now: Cycle) -> bool {
-        now >= self.busy_until && now >= self.next_col_group[group]
     }
 
     /// Record a column command to `group` at `now`.
@@ -190,25 +166,20 @@ impl RankState {
         self.busy_until = self.busy_until.max(until);
     }
 
-    /// Whether the rank is currently blocked by REF/RFM.
-    pub fn busy_at(&self, now: Cycle) -> bool {
-        now < self.busy_until
-    }
-
     /// The cycle the current REF/RFM busy window ends (0 if never busy).
     pub fn busy_until_at(&self) -> Cycle {
         self.busy_until
     }
 
     /// Earliest cycle at which the rank-level ACT constraints (tRRD_S/L,
-    /// tFAW, busy window) would admit an ACT to `group`. The exact dual
-    /// of [`can_activate`](Self::can_activate):
-    /// `can_activate(g, now, t) == (now >= act_ready_at(g, t))`.
+    /// tFAW, busy window) would admit an ACT to `group`.
     pub fn act_ready_at(&self, group: usize, t: &Timing) -> Cycle {
         let mut ready = self
             .busy_until
             .max(self.next_act_any)
             .max(self.next_act_group[group]);
+        // Four-activate window: the 4th-most-recent ACT must be at least
+        // tFAW in the past.
         if self.recent_acts.len() == 4 {
             if let Some(&oldest) = self.recent_acts.front() {
                 ready = ready.max(oldest + t.tfaw);
@@ -218,7 +189,7 @@ impl RankState {
     }
 
     /// Earliest cycle at which the rank-level column constraints would
-    /// admit a RD/WR to `group` (dual of [`can_column`](Self::can_column)).
+    /// admit a RD/WR to `group`.
     pub fn col_ready_at(&self, group: usize) -> Cycle {
         self.busy_until.max(self.next_col_group[group])
     }
@@ -237,11 +208,11 @@ mod tests {
     fn act_then_col_after_trcd() {
         let t = timing();
         let mut b = BankTiming::new();
-        assert!(b.can_activate(0));
+        assert_eq!(b.next_act_at(), 0);
         b.activate(RowId(5), 0, &t);
         assert_eq!(b.open_row, Some(RowId(5)));
-        assert!(!b.can_column(t.trcd - 1));
-        assert!(b.can_column(t.trcd));
+        assert_eq!(b.next_col_at(), t.trcd);
+        assert_eq!(b.next_act_at(), t.trc);
     }
 
     #[test]
@@ -249,14 +220,11 @@ mod tests {
         let t = timing();
         let mut b = BankTiming::new();
         b.activate(RowId(1), 0, &t);
-        assert!(!b.can_precharge(t.tras - 1));
-        assert!(b.can_precharge(t.tras));
+        assert_eq!(b.next_pre_at(), t.tras);
         // A late read pushes the precharge out.
         let rd_at = t.trcd + 30;
         b.read(rd_at, &t);
-        let exp = (rd_at + t.trtp).max(t.tras);
-        assert!(!b.can_precharge(exp - 1));
-        assert!(b.can_precharge(exp));
+        assert_eq!(b.next_pre_at(), (rd_at + t.trtp).max(t.tras));
     }
 
     #[test]
@@ -268,9 +236,7 @@ mod tests {
         // Next ACT waits for both tRC from the ACT and tRP from the PRE.
         // At Table II timings tRAS + tRP = tRC in nanoseconds; integer
         // cycle rounding can push the PRE path one cycle past tRC.
-        let exp = t.trc.max(t.tras + t.trp);
-        assert!(!b.can_activate(exp - 1));
-        assert!(b.can_activate(exp));
+        assert_eq!(b.next_act_at(), t.trc.max(t.tras + t.trp));
     }
 
     #[test]
@@ -281,109 +247,67 @@ mod tests {
         let wr_at = t.trcd;
         b.write(wr_at, &t);
         let exp = wr_at + t.tcwl + t.tbl + t.twr;
-        assert!(!b.can_precharge(exp - 1));
-        assert!(b.can_precharge(exp));
+        assert!(exp > t.tras, "write recovery is the binding constraint");
+        assert_eq!(b.next_pre_at(), exp);
     }
 
     #[test]
     fn faw_blocks_fifth_activation() {
-        let t = timing();
+        // Table II has tFAW = 4 x tRRD_S, so tRRD_S alone already spaces
+        // the 5th ACT out; widen tFAW to make the window the binding rule.
+        let t = Timing {
+            tfaw: 4 * timing().trrd_s + 10,
+            ..timing()
+        };
         let mut r = RankState::new(8);
         // Issue 4 ACTs to different groups as fast as tRRD_S allows.
         let mut now = 0;
         for g in 0..4 {
-            assert!(r.can_activate(g, now, &t));
+            assert_eq!(r.act_ready_at(g, &t), now);
             r.activate(g, now, &t);
             now += t.trrd_s;
         }
         // The 5th ACT must wait for the tFAW window of the 1st.
-        let first = 0;
-        if now < first + t.tfaw {
-            assert!(!r.can_activate(4, now, &t));
-            assert!(r.can_activate(4, first + t.tfaw, &t));
-        }
+        assert_eq!(r.act_ready_at(4, &t), t.tfaw);
     }
 
     #[test]
     fn trrd_l_within_group_exceeds_trrd_s() {
         let t = timing();
-        assert!(t.trrd_l >= t.trrd_s);
+        assert!(t.trrd_l > t.trrd_s);
         let mut r = RankState::new(8);
         r.activate(0, 0, &t);
-        assert!(!r.can_activate(0, t.trrd_s, &t) || t.trrd_l == t.trrd_s);
-        assert!(r.can_activate(1, t.trrd_s, &t) || t.trrd_s == 0);
+        assert_eq!(r.act_ready_at(0, &t), t.trrd_l);
+        assert_eq!(r.act_ready_at(1, &t), t.trrd_s);
     }
 
     #[test]
     fn refresh_blocking_stalls_bank_and_rank() {
-        let _t = timing();
+        let t = timing();
         let mut b = BankTiming::new();
         let mut r = RankState::new(8);
         b.block_until(1000);
         r.block_until(1000);
-        assert!(!b.can_activate(999));
-        assert!(b.can_activate(1000));
-        assert!(r.busy_at(999));
-        assert!(!r.busy_at(1000));
+        r.column(5, 990, &t);
+        assert_eq!(b.next_act_at(), 1000);
+        assert_eq!(r.busy_until_at(), 1000);
+        assert_eq!(r.act_ready_at(0, &t), 1000);
+        assert_eq!(r.col_ready_at(0), 1000);
+        // tCCD_L from the column command outlasts the busy window.
+        assert_eq!(r.col_ready_at(5), 990 + t.tccd_l);
     }
 
     #[test]
-    fn ready_for_refresh_requires_closed_and_settled() {
+    fn refresh_waits_for_closed_and_settled_bank() {
+        // A REF/RFM needs the bank precharged and `next_act_at` reached.
         let t = timing();
         let mut b = BankTiming::new();
-        assert!(b.ready_for_refresh(0));
+        assert_eq!((b.open_row, b.next_act_at()), (None, 0));
         b.activate(RowId(1), 0, &t);
-        assert!(!b.ready_for_refresh(t.tras));
+        assert!(b.open_row.is_some());
         b.precharge(t.tras, &t);
-        assert!(!b.ready_for_refresh(t.tras));
-        assert!(b.ready_for_refresh(t.trc.max(t.tras + t.trp)));
-    }
-
-    #[test]
-    fn next_command_getters_are_duals_of_can_checks() {
-        let t = timing();
-        let mut b = BankTiming::new();
-        b.activate(RowId(2), 0, &t);
-        b.read(t.trcd, &t);
-        for now in 0..2 * t.trc {
-            assert_eq!(b.can_column(now), now >= b.next_col_at(), "col @ {now}");
-            assert_eq!(b.can_precharge(now), now >= b.next_pre_at(), "pre @ {now}");
-        }
-        b.precharge(b.next_pre_at(), &t);
-        for now in 0..2 * t.trc {
-            assert_eq!(b.can_activate(now), now >= b.next_act_at(), "act @ {now}");
-        }
-    }
-
-    #[test]
-    fn rank_ready_at_is_dual_of_can_activate() {
-        let t = timing();
-        let mut r = RankState::new(8);
-        // Load the rank with 4 ACTs so the tFAW term is live, plus a busy
-        // window.
-        let mut now = 0;
-        for g in 0..4 {
-            now = now.max(r.act_ready_at(g, &t));
-            r.activate(g, now, &t);
-            now += 1;
-        }
-        r.block_until(now + 17);
-        r.column(5, now, &t);
-        for g in [0usize, 4, 5] {
-            for c in 0..now + 3 * t.tfaw {
-                assert_eq!(
-                    r.can_activate(g, c, &t),
-                    c >= r.act_ready_at(g, &t),
-                    "act group {g} @ {c}"
-                );
-                assert_eq!(
-                    r.can_column(g, c),
-                    c >= r.col_ready_at(g),
-                    "col group {g} @ {c}"
-                );
-            }
-        }
-        assert_eq!(r.busy_until_at(), now + 17);
+        assert_eq!(b.open_row, None);
+        assert_eq!(b.next_act_at(), t.trc.max(t.tras + t.trp));
     }
 
     #[test]

@@ -260,10 +260,7 @@ impl DramDevice {
 
     /// Whether an ACT to `bank` is legal at `now` (bank + rank checks).
     pub fn can_activate(&self, bank: BankId, now: Cycle) -> bool {
-        let rank = self.rank_of(bank);
-        let group = self.group_of(bank);
-        self.banks[bank.0 as usize].timing.can_activate(now)
-            && self.ranks[rank].can_activate(group, now, &self.cfg.timing)
+        self.open_row(bank).is_none() && now >= self.next_activate_at(bank)
     }
 
     /// Issue an ACT: opens the row, increments its PRAC counter, notifies
@@ -292,16 +289,7 @@ impl DramDevice {
     /// Whether a RD/WR to `bank` is legal at `now`, including data-bus
     /// availability.
     pub fn can_column(&self, bank: BankId, write: bool, now: Cycle) -> bool {
-        let rank = self.rank_of(bank);
-        let group = self.group_of(bank);
-        let t = &self.cfg.timing;
-        if !self.banks[bank.0 as usize].timing.can_column(now)
-            || !self.ranks[rank].can_column(group, now)
-        {
-            return false;
-        }
-        let data_start = now + if write { t.tcwl } else { t.tcl };
-        data_start >= self.bus_free_at
+        self.open_row(bank).is_some() && now >= self.next_column_at(bank, write)
     }
 
     /// Issue a RD/WR; returns the cycle the data burst completes.
@@ -327,7 +315,7 @@ impl DramDevice {
 
     /// Whether a PRE to `bank` is legal at `now`.
     pub fn can_precharge(&self, bank: BankId, now: Cycle) -> bool {
-        self.banks[bank.0 as usize].timing.can_precharge(now)
+        self.open_row(bank).is_some() && now >= self.next_precharge_at(bank)
     }
 
     /// Issue a PRE.
@@ -342,11 +330,7 @@ impl DramDevice {
     /// Whether rank `rank` can accept a REF at `now` (all banks closed and
     /// settled, rank not already busy).
     pub fn can_refresh(&self, rank: u8, now: Cycle) -> bool {
-        if self.ranks[rank as usize].busy_at(now) {
-            return false;
-        }
-        self.bank_ids_of_rank(rank)
-            .all(|b| self.banks[b.0 as usize].timing.ready_for_refresh(now))
+        now >= self.next_refresh_at(rank)
     }
 
     /// Issue a REF to `rank`: blocks the rank for tRFC and gives every
@@ -356,10 +340,9 @@ impl DramDevice {
         self.trace.set_now(now);
         let until = now + self.cfg.timing.trfc;
         self.ranks[rank as usize].block_until(until);
-        let ids: Vec<BankId> = self.bank_ids_of_rank(rank).collect();
-        for b in ids {
-            self.banks[b.0 as usize].timing.block_until(until);
+        for b in self.bank_ids_of_rank(rank) {
             let unit = &mut self.banks[b.0 as usize];
+            unit.timing.block_until(until);
             let was = unit.tracker.needs_alert();
             if let Some(row) = unit.tracker.on_ref(&mut unit.counters) {
                 self.trace
@@ -381,20 +364,10 @@ impl DramDevice {
             .of(kind, target, self.cfg.banks_per_group as u16)
     }
 
-    /// The banks affected by an RFM of `kind` targeted at `target`.
-    /// Allocating convenience wrapper around
-    /// [`rfm_banks_of`](Self::rfm_banks_of).
-    pub fn rfm_banks(&self, kind: RfmKind, target: BankId) -> Vec<BankId> {
-        self.rfm_banks_of(kind, target).to_vec()
-    }
-
     /// Whether an RFM of `kind` can issue at `now` (all affected banks
     /// closed and settled).
     pub fn can_rfm(&self, kind: RfmKind, target: BankId, now: Cycle) -> bool {
-        self.rfm_banks_of(kind, target).iter().all(|&b| {
-            !self.ranks[self.rank_of(b)].busy_at(now)
-                && self.banks[b.0 as usize].timing.ready_for_refresh(now)
-        })
+        now >= self.next_rfm_at(kind, target)
     }
 
     /// Issue an RFM: blocks the affected banks for tRFM and runs each
@@ -523,9 +496,7 @@ impl DramDevice {
 
     /// Earliest cycle an ACT to `bank` could become legal, combining the
     /// bank's tRC with the rank's tRRD/tFAW/busy constraints. Meaningful
-    /// while the bank is precharged (an open bank needs a PRE first);
-    /// for a closed bank, `can_activate(b, c)` iff `c >=
-    /// next_activate_at(b)`.
+    /// while the bank is precharged (an open bank needs a PRE first).
     pub fn next_activate_at(&self, bank: BankId) -> Cycle {
         let rank = self.rank_of(bank);
         let group = self.group_of(bank);
@@ -537,7 +508,7 @@ impl DramDevice {
 
     /// Earliest cycle a RD/WR to `bank` could become legal (bank tRCD,
     /// rank tCCD/busy, and data-bus occupancy). Meaningful while a row is
-    /// open: `can_column(b, w, c)` iff `c >= next_column_at(b, w)`.
+    /// open.
     pub fn next_column_at(&self, bank: BankId, write: bool) -> Cycle {
         let rank = self.rank_of(bank);
         let group = self.group_of(bank);
@@ -551,8 +522,7 @@ impl DramDevice {
     }
 
     /// Earliest cycle a PRE to `bank` could become legal. Meaningful
-    /// while a row is open: `can_precharge(b, c)` iff `c >=
-    /// next_precharge_at(b)`.
+    /// while a row is open.
     pub fn next_precharge_at(&self, bank: BankId) -> Cycle {
         self.banks[bank.0 as usize].timing.next_pre_at()
     }
@@ -761,15 +731,15 @@ mod tests {
     #[test]
     fn rfm_same_bank_covers_one_bank_per_group() {
         let dev = device_with_threshold(1000);
-        let banks = dev.rfm_banks(RfmKind::SameBank, BankId(1));
+        let banks = dev.rfm_banks_of(RfmKind::SameBank, BankId(1));
         // tiny_test: 1 rank x 2 groups x 2 banks -> 2 banks affected.
         assert_eq!(banks.len(), 2);
-        for b in &banks {
+        for b in banks {
             assert_eq!(b.0 % dev.cfg().banks_per_group as u16, 1);
         }
-        assert_eq!(dev.rfm_banks(RfmKind::PerBank, BankId(3)), vec![BankId(3)]);
+        assert_eq!(dev.rfm_banks_of(RfmKind::PerBank, BankId(3)), [BankId(3)]);
         assert_eq!(
-            dev.rfm_banks(RfmKind::AllBank, BankId(0)).len(),
+            dev.rfm_banks_of(RfmKind::AllBank, BankId(0)).len(),
             dev.cfg().num_banks()
         );
     }
@@ -777,12 +747,30 @@ mod tests {
     #[test]
     fn refresh_blocks_rank_for_trfc() {
         let mut dev = device_with_threshold(1000);
+        let t = dev.cfg().timing;
         assert!(dev.can_refresh(0, 0));
         dev.refresh(0, 0);
-        let trfc = dev.cfg().timing.trfc;
-        assert!(!dev.can_activate(BankId(0), trfc - 1));
-        assert!(dev.can_activate(BankId(0), trfc));
+        assert_eq!(dev.next_activate_at(BankId(0)), t.trfc);
+        assert!(!dev.can_activate(BankId(0), t.trfc - 1));
+        assert!(dev.can_activate(BankId(0), t.trfc));
         assert_eq!(dev.stats().refs, 1);
+        // REF and RFMab are blocked while any row is open; a per-bank
+        // RFM elsewhere is not.
+        dev.activate(BankId(0), RowId(1), t.trfc);
+        assert_eq!(dev.next_refresh_at(0), Cycle::MAX);
+        assert_eq!(dev.next_rfm_at(RfmKind::AllBank, BankId(0)), Cycle::MAX);
+        assert_eq!(dev.next_rfm_at(RfmKind::PerBank, BankId(1)), t.trfc);
+        // Once precharged, both become legal exactly at their bound.
+        let pre_at = dev.next_precharge_at(BankId(0));
+        dev.precharge(BankId(0), pre_at);
+        let ref_at = dev.next_refresh_at(0);
+        assert_eq!(ref_at, (t.trfc + t.trc).max(pre_at + t.trp));
+        assert!(!dev.can_refresh(0, ref_at - 1));
+        assert!(dev.can_refresh(0, ref_at));
+        let rfm_at = dev.next_rfm_at(RfmKind::AllBank, BankId(0));
+        assert_eq!(rfm_at, ref_at);
+        assert!(!dev.can_rfm(RfmKind::AllBank, BankId(0), rfm_at - 1));
+        assert!(dev.can_rfm(RfmKind::AllBank, BankId(0), rfm_at));
     }
 
     #[test]
@@ -814,70 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn next_command_queries_are_duals_of_can_checks() {
-        let mut dev = device_with_threshold(1000);
-        let t = dev.cfg().timing;
-        let mut now = 0;
-        // Exercise ACT/RD/PRE on two banks and a REF to load every
-        // constraint, then sweep the duals.
-        dev.activate(BankId(0), RowId(1), now);
-        now += t.trrd_l;
-        while !dev.can_activate(BankId(1), now) {
-            now += 1;
-        }
-        dev.activate(BankId(1), RowId(2), now);
-        let mut col = now + t.trcd;
-        while !dev.can_column(BankId(0), false, col) {
-            col += 1;
-        }
-        dev.column(BankId(0), false, col);
-        let horizon = col + 3 * t.trc;
-        for c in 0..horizon {
-            for bank in [BankId(0), BankId(1)] {
-                if dev.open_row(bank).is_some() {
-                    assert_eq!(
-                        dev.can_column(bank, false, c),
-                        c >= dev.next_column_at(bank, false),
-                        "col {bank} @ {c}"
-                    );
-                    assert_eq!(
-                        dev.can_column(bank, true, c),
-                        c >= dev.next_column_at(bank, true),
-                        "wr {bank} @ {c}"
-                    );
-                    assert_eq!(
-                        dev.can_precharge(bank, c),
-                        c >= dev.next_precharge_at(bank),
-                        "pre {bank} @ {c}"
-                    );
-                }
-            }
-            // Bank 2 stays closed throughout: ACT dual holds.
-            assert_eq!(
-                dev.can_activate(BankId(2), c),
-                c >= dev.next_activate_at(BankId(2)),
-                "act bank2 @ {c}"
-            );
-        }
-        // REF/RFM duals: blocked while rows are open...
-        assert_eq!(dev.next_refresh_at(0), Cycle::MAX);
-        assert_eq!(dev.next_rfm_at(RfmKind::AllBank, BankId(0)), Cycle::MAX);
-        // ...and exact once everything is precharged.
-        for bank in [BankId(0), BankId(1)] {
-            let at = dev.next_precharge_at(bank);
-            dev.precharge(bank, at);
-            now = now.max(at);
-        }
-        let ref_at = dev.next_refresh_at(0);
-        assert_ne!(ref_at, Cycle::MAX);
-        assert!(!dev.can_refresh(0, ref_at - 1));
-        assert!(dev.can_refresh(0, ref_at));
-        let rfm_at = dev.next_rfm_at(RfmKind::AllBank, BankId(0));
-        assert!(!dev.can_rfm(RfmKind::AllBank, BankId(0), rfm_at - 1));
-        assert!(dev.can_rfm(RfmKind::AllBank, BankId(0), rfm_at));
-    }
-
-    #[test]
     fn first_alerting_bank_tracks_tracker_state() {
         let mut dev = device_with_threshold(3);
         assert_eq!(dev.first_alerting_bank(), None);
@@ -894,19 +818,6 @@ mod tests {
         }
         dev.rfm(RfmKind::AllBank, BankId(0), RfmCause::AlertService, now);
         assert_eq!(dev.first_alerting_bank(), None);
-    }
-
-    #[test]
-    fn rfm_banks_slice_matches_vec_api() {
-        let dev = device_with_threshold(1000);
-        for kind in [RfmKind::AllBank, RfmKind::SameBank, RfmKind::PerBank] {
-            for target in 0..dev.cfg().num_banks() as u16 {
-                assert_eq!(
-                    dev.rfm_banks_of(kind, BankId(target)),
-                    dev.rfm_banks(kind, BankId(target)).as_slice()
-                );
-            }
-        }
     }
 
     #[test]

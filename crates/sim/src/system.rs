@@ -15,15 +15,15 @@
 //!
 //! The run loop is cycle-accurate but not cycle-*stepped*: whenever every
 //! core is provably stalled on outstanding loads
-//! ([`cpu_model::Core::stalled_on_memory`]) the simulator asks each
-//! channel's controller for the next cycle at which anything can happen
-//! ([`mem_ctrl::MemoryController::next_event`]), takes the minimum
-//! across channels, combines it with the earliest pending LLC-hit
-//! wakeup, and jumps the CPU/memory clocks straight there — keeping the
-//! 4:5 clock ratio, the rotating core arbitration and every statistic
-//! bit-exact with the cycle-by-cycle loop (differential tests enforce
-//! this at 1, 2 and 4 channels). Set `QPRAC_NO_FASTFORWARD=1` to force
-//! the plain loop.
+//! ([`cpu_model::Core::stalled_on_memory`]) the simulator takes the
+//! minimum, across channels, of the event bound each controller's last
+//! [`tick`](mem_ctrl::MemoryController::tick) returned (the earliest
+//! cycle at which it could act), combines it with the earliest pending
+//! LLC-hit wakeup, and jumps the CPU/memory clocks straight there —
+//! keeping the 4:5 clock ratio, the rotating core arbitration and every
+//! statistic bit-exact with the cycle-by-cycle loop (differential tests
+//! enforce this at 1, 2 and 4 channels). Set `QPRAC_NO_FASTFORWARD=1`
+//! to force the plain loop.
 //!
 //! ## Two-phase memory ticks
 //!
@@ -105,10 +105,11 @@ impl MemSide {
 
 /// Per-channel scheduling state for the memory-tick fast paths.
 struct LaneState {
-    /// The channel's controller provably cannot act before this memory
-    /// cycle (assuming no enqueues, which reset it to 0 = unknown).
-    /// Written back from ticks *and* from `channel_event` probes so a
-    /// fast-forward attempt never recomputes a bound it already knows.
+    /// The bound the controller's last tick returned: it provably cannot
+    /// act before this memory cycle, assuming no enqueues (which reset
+    /// it to 0 = unknown). An enqueue always forces a tick in the same
+    /// `lane_advance`, so the bound is fresh whenever a fast-forward
+    /// attempt reads it.
     next_event: u64,
     /// The head of the pending-issue queue was rejected by
     /// `can_accept`; capacity can only change when the controller
@@ -224,10 +225,9 @@ pub struct System {
     /// Skip dead cycles (see the module docs); identical results either
     /// way, enforced by the differential tests.
     fast_forward: bool,
-    /// Per-channel scheduling state (cached `next_event` bounds and
-    /// blocked-head flags) letting `mem_tick` elide whole controller
-    /// ticks and `skip_dead_cycles` reuse the bounds instead of
-    /// recomputing them.
+    /// Per-channel scheduling state (the bounds the last ticks returned
+    /// and blocked-head flags) letting `mem_tick` elide whole controller
+    /// ticks and `skip_dead_cycles` jump without recomputing them.
     lane_state: Vec<LaneState>,
     ff_attempts: u64,
     ff_jumps: u64,
@@ -445,10 +445,10 @@ impl System {
 
     /// The earliest memory cycle at which channel `ch` can do anything:
     /// accept its blocked head-of-queue access on the very next tick, or
-    /// issue its next possible command. Freshly computed bounds are
-    /// written back to the lane state so repeated fast-forward attempts
-    /// (and the elide branch in `lane_advance`) reuse them for free.
-    fn channel_event(&mut self, ch: usize) -> u64 {
+    /// issue its next possible command. The latter is the bound its last
+    /// tick returned, floored at the next memory cycle: a bound may
+    /// undershoot (a shorter jump) but never overshoot.
+    fn channel_event(&self, ch: usize) -> u64 {
         let lane = &self.lane_state[ch];
         if let Some(p) = self.mem.pending_issue[ch].front() {
             if !lane.head_blocked
@@ -458,12 +458,7 @@ impl System {
                 return self.mem_cycle + 1;
             }
         }
-        if lane.next_event > self.mem_cycle {
-            return lane.next_event;
-        }
-        let bound = self.mcs[ch].next_event(self.mem_cycle);
-        self.lane_state[ch].next_event = bound;
-        bound
+        lane.next_event.max(self.mem_cycle + 1)
     }
 
     /// If every core is provably stalled on loads, jump the clocks to the

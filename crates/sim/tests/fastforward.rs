@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use cpu_model::{LoopTrace, TraceEntry, TraceSource, WorkloadSpec};
-use dram_core::AddressMapper;
+use dram_core::{AddressMapper, RfmKind};
 use sim::{run_bandwidth_attack_with, MitigationKind, RunStats, System, SystemConfig};
 
 fn run_mode_channels(
@@ -36,11 +36,18 @@ fn run_mode(workload: &str, kind: MitigationKind, instrs: u64, fast: bool) -> Ru
 
 #[test]
 fn fast_forward_is_bit_exact_across_workloads_and_mitigations() {
+    // Periodic RFMs issued under Mithril and PrIDE, summed over the
+    // workloads.
+    let mut periodic_rfms = [0u64; 2];
     for workload in ["ycsb/a_like", "media/gsm_like", "tpc/tpcc64_like"] {
         for kind in [
             MitigationKind::None,
             MitigationKind::Qprac,
             MitigationKind::QpracProactive,
+            MitigationKind::QpracNoOp,
+            MitigationKind::Moat,
+            MitigationKind::Mithril { trh: 512 },
+            MitigationKind::Pride { trh: 512 },
         ] {
             let fast = run_mode(workload, kind, 3_000, true);
             let slow = run_mode(workload, kind, 3_000, false);
@@ -49,8 +56,19 @@ fn fast_forward_is_bit_exact_across_workloads_and_mitigations() {
                 "fast-forward diverged for {workload} under {kind:?}"
             );
             assert!(fast.instructions() >= 12_000, "{workload} ran");
+            match kind {
+                MitigationKind::Mithril { .. } => periodic_rfms[0] += fast.device.rfm_pb,
+                MitigationKind::Pride { .. } => periodic_rfms[1] += fast.device.rfm_pb,
+                _ => {}
+            }
         }
     }
+    // The periodic-RFM cadence must actually fire, or the owed-RFM
+    // bound in the controller goes untested.
+    assert!(
+        periodic_rfms.iter().all(|&n| n > 0),
+        "Mithril/PrIDE issued no periodic RFM: {periodic_rfms:?}"
+    );
 }
 
 /// Build a hammering trace for one core: a cyclic working set of lines
@@ -181,11 +199,17 @@ fn fast_forward_is_bit_exact_under_a_two_channel_alert_storm() {
 
 #[test]
 fn fast_forward_is_bit_exact_for_the_bandwidth_attack() {
-    let cfg = SystemConfig::paper_default()
-        .with_mitigation(MitigationKind::Qprac)
-        .with_nbo(8);
-    let fast = run_bandwidth_attack_with(&cfg, 8, 150_000, true);
-    let slow = run_bandwidth_attack_with(&cfg, 8, 150_000, false);
-    assert_eq!(fast, slow, "attack fast path diverged");
-    assert!(fast.alerts > 0, "attack must trigger alerts");
+    for rfm_kind in [RfmKind::AllBank, RfmKind::SameBank, RfmKind::PerBank] {
+        let cfg = SystemConfig::paper_default()
+            .with_mitigation(MitigationKind::Qprac)
+            .with_nbo(8)
+            .with_alert_rfm_kind(rfm_kind);
+        let fast = run_bandwidth_attack_with(&cfg, 8, 150_000, true);
+        let slow = run_bandwidth_attack_with(&cfg, 8, 150_000, false);
+        assert_eq!(fast, slow, "attack fast path diverged with {rfm_kind:?}");
+        assert!(
+            fast.alerts > 0,
+            "attack must trigger alerts with {rfm_kind:?}"
+        );
+    }
 }
