@@ -128,7 +128,8 @@ fn main() {
             let failures = &failures;
             let requests = &requests;
             scope.spawn(move || {
-                // One pipelined connection per shard, opened lazily.
+                // One connection per shard, opened lazily; each request
+                // waits for its reply.
                 let mut conns: Vec<Option<Client>> = shards.iter().map(|_| None).collect();
                 for (i, key) in keys.iter().enumerate() {
                     for copy in 0..2usize {

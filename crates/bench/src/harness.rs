@@ -14,10 +14,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(8);
-    let threads = thread_count(n, sim::env_usize("QPRAC_JOBS", 0), available);
+    let threads = pool_width(n);
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let slots: Vec<std::sync::Mutex<&mut Option<T>>> =
@@ -35,6 +32,15 @@ where
         }
     });
     out.into_iter().map(|v| v.expect("job completed")).collect()
+}
+
+/// Threads [`parallel`] runs `n` jobs on: the machine's available
+/// parallelism, capped by `QPRAC_JOBS` and by `n`.
+pub fn pool_width(n: usize) -> usize {
+    let available = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(8);
+    thread_count(n, sim::env_usize("QPRAC_JOBS", 0), available)
 }
 
 /// Worker-thread count for `n` jobs: the `QPRAC_JOBS` cap (0 = uncapped)

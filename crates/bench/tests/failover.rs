@@ -12,9 +12,11 @@ use std::time::Duration;
 
 use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
-use qprac_bench::{execute_with, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor};
-use qprac_serve::{ChaosSpec, RetryPolicy, Server, ServerConfig};
-use sim::{MitigationKind, RunCache, SystemConfig};
+use qprac_bench::{
+    execute_with, CellExecutor, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor,
+};
+use qprac_serve::{ChaosSpec, Client, RetryPolicy, Server, ServerConfig};
+use sim::{MitigationKind, RunCache, RunKey, SystemConfig};
 
 const INSTR: u64 = 400;
 
@@ -200,4 +202,103 @@ fn all_shards_down_degrades_to_the_local_pool() {
     for dir in [local_dir, down_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// `n` distinct cheap workload cells, enough for lanes many keys long.
+fn lane_cells(n: u64) -> Vec<(Job, RunKey)> {
+    (0..n)
+        .map(|i| {
+            let job = Job::Workload {
+                cfg: SystemConfig::paper_default()
+                    .with_mitigation(MitigationKind::Qprac)
+                    .with_instruction_limit(100 + i),
+                workload: WorkloadSpec::by_name("ycsb/c_like").unwrap(),
+            };
+            let key = job.key();
+            (job, key)
+        })
+        .collect()
+}
+
+fn chaos_shard(faults: &str) -> String {
+    let config = ServerConfig {
+        chaos: Some(ChaosSpec::parse(faults).unwrap()),
+        ..ServerConfig::default()
+    };
+    Server::bind("127.0.0.1:0", config)
+        .unwrap()
+        .spawn()
+        .unwrap()
+        .to_string()
+}
+
+/// One `HEALTH` field of a shard. The reply may be cut by the shard's
+/// own chaos, so the probe retries.
+fn health_field(addr: &str, name: &str) -> u64 {
+    let health = (0..10)
+        .find_map(|_| Client::connect(addr).ok()?.health().ok())
+        .expect("HEALTH answered within ten tries");
+    health
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing in {health:?}"))
+}
+
+/// Seeded `trunc` chaos cuts replies mid-batch: the lane drops the
+/// connection, re-drives the keys behind the cut, and the results equal
+/// a local run's. With only `trunc` armed, the shard draws once per
+/// reply frame, and seed 2 cuts draws 20, 28 and 37: at least three
+/// cuts land before the 40 keys are all answered.
+#[test]
+fn truncated_lanes_are_re_driven_to_local_results() {
+    let cells = lane_cells(40);
+    let cells: Vec<(&Job, RunKey)> = cells.iter().map(|(j, k)| (j, k.clone())).collect();
+    let truth = LocalExecutor.execute_cells(&cells);
+    let shard = chaos_shard("2:trunc=0.05");
+    let remote = RemoteExecutor::new(&shard)
+        .with_timeout(Duration::from_secs(10))
+        .with_retry(RetryPolicy {
+            attempts: 6,
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(10),
+        });
+    assert!(
+        remote.execute_cells(&cells) == truth,
+        "cut lanes changed results"
+    );
+    assert!(
+        health_field(&shard, "chaos_truncated") > 0,
+        "no frame was cut"
+    );
+    assert!(
+        remote.fault_stats().retries.load(Ordering::Relaxed) > 0,
+        "a cut lane must be re-driven"
+    );
+}
+
+/// A warm-only pass never leaves the reactor thread unless chaos
+/// delays it: the `delay` draw must still reach those requests.
+#[test]
+fn warm_pass_under_delay_chaos_still_fires_delays() {
+    let cells = lane_cells(12);
+    let cells: Vec<(&Job, RunKey)> = cells.iter().map(|(j, k)| (j, k.clone())).collect();
+    let shard = chaos_shard("5:delay=0.5/2");
+    let remote = RemoteExecutor::new(&shard).with_timeout(Duration::from_secs(10));
+    let cold = remote.execute_cells(&cells);
+    let (delayed, simulated) = (
+        health_field(&shard, "chaos_delayed"),
+        Client::connect(shard.as_str())
+            .unwrap()
+            .stat("simulated")
+            .unwrap(),
+    );
+    let warm = remote.execute_cells(&cells);
+    assert!(warm == cold, "delays must not change results");
+    let mut client = Client::connect(shard.as_str()).unwrap();
+    assert_eq!(client.stat("simulated").unwrap(), simulated, "warm only");
+    assert!(
+        health_field(&shard, "chaos_delayed") > delayed,
+        "no warm request was delayed"
+    );
 }

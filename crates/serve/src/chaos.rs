@@ -14,7 +14,7 @@
 //! | token        | fault                                                |
 //! |--------------|------------------------------------------------------|
 //! | `drop=P`     | close an accepted connection immediately, prob. `P`  |
-//! | `delay=P/MS` | stall a `RUNB` resolve `MS` ms, probability `P`      |
+//! | `delay=P/MS` | stall a well-formed `RUNB` `MS` ms, probability `P`  |
 //! | `trunc=P`    | cut a response frame mid-payload and kill the socket |
 //! | `kill=N`     | panic the first `N` single-flight leaders mid-run    |
 //!
@@ -40,7 +40,8 @@ pub struct ChaosSpec {
     pub seed: u64,
     /// Probability an accepted connection is dropped on the floor.
     pub drop_prob: f64,
-    /// Probability a `RUNB` resolve is delayed by [`Self::delay`].
+    /// Probability a well-formed `RUNB` is delayed by [`Self::delay`]
+    /// (on a dispatch worker, even when the memory tier holds it).
     pub delay_prob: f64,
     /// Stall injected when the delay fault fires.
     pub delay: Duration,

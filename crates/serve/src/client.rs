@@ -1,19 +1,29 @@
 //! Blocking client for the `qprac-serve` protocol.
 //!
-//! One [`Client`] wraps one TCP connection; requests on a connection
-//! are answered in order, so a client can pipeline a batch of keys by
-//! issuing [`Client::run`] repeatedly. For parallelism, open several
-//! clients — the server multiplexes every connection on one event loop
-//! and coalesces duplicate in-flight keys across all of them.
+//! One [`Client`] wraps one TCP connection. Requests on a connection
+//! are answered in order, so [`Client::run_many`] pipelines a batch of
+//! keys: it keeps up to [`PIPELINE_WINDOW`] `RUNB`s in flight and reads
+//! the replies as they come. Every other call, [`Client::run`]
+//! included, sends one request and blocks on its reply. A shard serves
+//! one request per connection at a time, so for parallel simulations
+//! open several clients — the server multiplexes every connection on
+//! one event loop and coalesces duplicate in-flight keys across all of
+//! them.
 
 use std::fmt;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use sim::{CellResult, RunKey};
 
-use crate::protocol::{read_response, write_request, Request, Response};
+use crate::protocol::{queue_request, read_response, write_request, Request, Response};
+
+/// `RUNB`s [`Client::run_many`] keeps in flight on one connection:
+/// enough to hide the round trip behind the server's work, few enough
+/// that the requests always fit the socket buffers and the replies stay
+/// under the server's reply-backlog cap.
+pub const PIPELINE_WINDOW: usize = 64;
 
 /// Default connect/read/write deadline (`QPRAC_REMOTE_TIMEOUT_MS`):
 /// bounded — a hung shard must fail the call, not the pool — but
@@ -108,8 +118,10 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        stream.set_nodelay(true).ok(); // request/response round-trips
-        let reader = BufReader::new(stream.try_clone()?);
+        // Request/response round trips: no Nagle delay.
+        stream.set_nodelay(true).ok();
+        // Room for a window's worth of small replies per read.
+        let reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
@@ -136,16 +148,62 @@ impl Client {
         }
     }
 
-    /// Resolve one cell by canonical key text (the `RUNB` verb),
-    /// decoding the binary frame into a [`CellResult`].
-    pub fn run_key_text(&mut self, key_text: &str) -> Result<CellResult, ClientError> {
-        match self.call(&Request::RunBin(key_text.to_string()))? {
-            Response::OkBin(frame) => sim::codec::decode_cell(&frame)
-                .map_err(|e| ClientError::Server(format!("undecodable binary response: {e}"))),
-            _ => Err(ClientError::Server(
-                "unexpected text response to RUNB".into(),
-            )),
+    /// Resolve a batch of cells by canonical key text (the `RUNB`
+    /// verb), pipelined: up to [`PIPELINE_WINDOW`] requests are in
+    /// flight at once, and each binary frame is decoded into a
+    /// [`CellResult`] as it arrives.
+    ///
+    /// `on_reply` is called once per answered key, in key order, as
+    /// soon as its reply is read. A server `ERR` answers its key with
+    /// [`ClientError::Server`], and the batch goes on. A transport
+    /// error ends the batch: it is the last call, the keys after it get
+    /// none, and the connection is no longer usable.
+    pub fn run_many(
+        &mut self,
+        keys: &[&str],
+        mut on_reply: impl FnMut(Result<CellResult, ClientError>),
+    ) {
+        let (mut sent, mut answered) = (0, 0);
+        while answered < keys.len() {
+            // Top the window up once half of it has been answered, so
+            // one flush carries many requests.
+            if sent < keys.len() && sent - answered <= PIPELINE_WINDOW / 2 {
+                let room = PIPELINE_WINDOW - (sent - answered);
+                let batch = &keys[sent..keys.len().min(sent + room)];
+                if let Err(e) = self.send_runb(batch) {
+                    return on_reply(Err(e.into()));
+                }
+                sent += batch.len();
+            }
+            answered += 1;
+            match read_response(&mut self.reader) {
+                Ok(Response::OkBin(frame)) => {
+                    on_reply(sim::codec::decode_cell(&frame).map_err(|e| {
+                        ClientError::Server(format!("undecodable binary response: {e}"))
+                    }))
+                }
+                Ok(Response::Err(msg)) => on_reply(Err(ClientError::Server(msg))),
+                Ok(Response::Ok(_)) => on_reply(Err(ClientError::Server(
+                    "unexpected text response to RUNB".into(),
+                ))),
+                Err(e) => return on_reply(Err(e.into())),
+            }
         }
+    }
+
+    /// Write one `RUNB` line per key, then flush them together.
+    fn send_runb(&mut self, keys: &[&str]) -> io::Result<()> {
+        for key in keys {
+            queue_request(&mut self.writer, &Request::RunBin(key.to_string()))?;
+        }
+        self.writer.flush()
+    }
+
+    /// Resolve one cell by canonical key text: a batch of one.
+    pub fn run_key_text(&mut self, key_text: &str) -> Result<CellResult, ClientError> {
+        let mut reply = None;
+        self.run_many(&[key_text], |r| reply = Some(r));
+        reply.expect("a batch of one gets exactly one reply")
     }
 
     /// [`Self::run_key_text`] for an already-built [`RunKey`].

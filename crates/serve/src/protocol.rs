@@ -116,8 +116,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Write one request line.
+/// Write one request line and flush it.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    queue_request(w, req)?;
+    w.flush()
+}
+
+/// Write one request line without flushing, so a pipelined batch goes
+/// out in one write.
+pub fn queue_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
         Request::RunBin(key) => writeln!(w, "RUNB {key}"),
         Request::Stats => writeln!(w, "STATS"),
@@ -125,8 +132,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         Request::Metrics => writeln!(w, "METRICS"),
         Request::Shutdown => writeln!(w, "SHUTDOWN"),
         Request::Ping => writeln!(w, "PING"),
-    }?;
-    w.flush()
+    }
 }
 
 /// Write one framed response.

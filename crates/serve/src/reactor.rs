@@ -13,21 +13,30 @@
 //!
 //! - control verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/`SHUTDOWN`) are
 //!   answered inline on the reactor thread;
-//! - `RUNB` is handed to the dispatch pool, which drives the three-tier
-//!   [`resolve`] path (LRU → disk → semaphore-bounded single-flight
-//!   simulation) and posts the response back through a [`WakePipe`].
+//! - `RUNB` keys are parsed inline too. A malformed key (`ERR`) and a
+//!   memory-tier hit (`OKB`) are answered on the spot, so a warm
+//!   request never leaves the reactor thread;
+//! - only a memory miss goes to the dispatch pool, which drives the
+//!   rest of the [`resolve`] path (disk → semaphore-bounded
+//!   single-flight simulation) and posts the response back through a
+//!   [`WakePipe`]. While it is out the connection is busy: nothing
+//!   further is parsed on it.
 //!
-//! One request is in flight per connection at a time, so responses
-//! come back in request order; pipelined requests queue in the
-//! connection's read buffer (bounded — a flooding peer hits TCP
-//! backpressure, never unbounded memory).
+//! Requests on a connection are therefore answered strictly in order:
+//! an inline answer is only ever produced while no pool job is out for
+//! that connection. A client may pipeline any number of requests; they
+//! queue in the connection's read buffer, whose size is capped, and
+//! parsing pauses while the unflushed replies exceed a cap of their
+//! own. A peer that floods requests and never reads its replies hits
+//! TCP backpressure, never unbounded server memory.
 //!
 //! Armed chaos ([`Chaos`]) injects its faults here too: `drop` hangs up
-//! at accept, `delay` stalls a dispatch worker (never the reactor
-//! thread) before it resolves, `trunc` halves a response frame and
-//! closes the connection once that half is flushed, and `kill` panics
-//! inside [`resolve`], which the dispatch worker's `catch_unwind` turns
-//! into a retryable `ERR`.
+//! at accept; `delay` is drawn here for every well-formed `RUNB`, and a
+//! request it picks — warm or not — goes to the dispatch pool and
+//! stalls a worker there (never the reactor thread) before it resolves;
+//! `trunc` halves a response frame and closes the connection once that
+//! half is flushed; and `kill` panics inside [`resolve`], which the
+//! dispatch worker's `catch_unwind` turns into a retryable `ERR`.
 //!
 //! `SHUTDOWN` drains: accepting stops, in-flight resolves complete,
 //! their responses flush, then the loop exits.
@@ -39,23 +48,28 @@ use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use sim::{CellResult, CellSpec, RunKey};
 
 use crate::chaos::Chaos;
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{parse_request, write_response, Request, Response, MAX_LINE};
-use crate::server::{control_payload, resolve, Inner};
+use crate::server::{control_payload, memory_hit, parse_key, resolve, Inner, REPLY_BACKLOG_CAP};
 
 /// Read-buffer soft cap per connection: past this the reactor stops
 /// reading (TCP backpressure) until the backlog drains, so a peer that
 /// floods pipelined requests cannot balloon server memory.
 const RBUF_SOFT_CAP: usize = 256 * 1024;
 
-/// One queued `RUNB` resolve.
+/// One `RUNB` the reactor could not answer inline.
 struct DispatchJob {
     slot: usize,
     gen: u64,
-    key_text: String,
+    spec: CellSpec,
+    key: RunKey,
+    /// The chaos stall this worker serves before resolving.
+    delay: Option<Duration>,
     t0: Instant,
 }
 
@@ -102,24 +116,15 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
                 queue = shared.available.wait(queue).unwrap();
             }
         };
-        if let Some(delay) = inner.chaos.as_ref().and_then(Chaos::delay) {
+        if let Some(delay) = job.delay {
             std::thread::sleep(delay);
         }
         // resolve() already converts simulation panics into Err; the
         // outer guard catches the chaos leader-kill and the truly
-        // unexpected (e.g. a poisoned cache mutex), so a worker never
-        // dies and strands the reactor.
-        let response = match catch_unwind(AssertUnwindSafe(|| resolve(inner, &job.key_text))) {
-            Ok(Ok(result)) => Response::OkBin(sim::codec::encode_cell(&result)),
-            Ok(Err(reason)) => Response::Err(reason),
-            Err(_) => Response::Err("simulation worker panicked".into()),
-        };
-        let m = &inner.metrics;
-        if matches!(response, Response::Err(_)) {
-            m.errors.inc();
-        }
-        m.run_requests.inc();
-        m.lat_runb.record(job.t0.elapsed());
+        // unexpected, so a worker never dies and strands the reactor.
+        let outcome = catch_unwind(AssertUnwindSafe(|| resolve(inner, &job.spec, job.key)))
+            .unwrap_or_else(|_| Err("simulation worker panicked".into()));
+        let response = runb_reply(inner, outcome, job.t0);
         shared.done.lock().unwrap().push(DispatchDone {
             slot: job.slot,
             gen: job.gen,
@@ -127,6 +132,22 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
         });
         shared.wake.wake();
     }
+}
+
+/// Count and time one answered `RUNB` — inline or from the pool, the
+/// same way — and frame its reply.
+fn runb_reply(inner: &Inner, outcome: Result<Arc<CellResult>, String>, t0: Instant) -> Response {
+    let m = &inner.metrics;
+    let response = match outcome {
+        Ok(result) => Response::OkBin(sim::codec::encode_cell(&result)),
+        Err(reason) => {
+            m.errors.inc();
+            Response::Err(reason)
+        }
+    };
+    m.run_requests.inc();
+    m.lat_runb.record(t0.elapsed());
+    response
 }
 
 /// One connection's state machine.
@@ -155,19 +176,31 @@ impl Conn {
         self.wpos >= self.wbuf.len()
     }
 
-    /// Whether the connection reads and parses further requests.
-    fn wants_input(&self) -> bool {
-        !self.busy && !self.closing && !self.cut
+    /// Reply bytes queued but not yet written.
+    fn backlog(&self) -> usize {
+        self.wbuf.len() - self.wpos
     }
 
-    fn push_response(&mut self, response: &Response, chaos: Option<&Chaos>) {
+    /// Whether buffered request lines may be parsed and answered.
+    fn parses(&self) -> bool {
+        !self.busy && !self.cut && self.backlog() < REPLY_BACKLOG_CAP
+    }
+
+    /// Whether the connection reads further requests.
+    fn wants_input(&self) -> bool {
+        self.parses() && !self.closing
+    }
+
+    fn push_response(&mut self, response: &Response, inner: &Inner) {
         let start = self.wbuf.len();
         // Writing into a Vec cannot fail.
         write_response(&mut self.wbuf, response).expect("vec write");
-        if chaos.is_some_and(Chaos::truncate_write) {
+        if inner.chaos.as_ref().is_some_and(Chaos::truncate_write) {
             self.wbuf.truncate(start + (self.wbuf.len() - start) / 2);
             self.cut = true;
         }
+        let queued = self.wbuf.len() - start;
+        inner.metrics.reply_backlog.add(queued as i64);
     }
 }
 
@@ -352,7 +385,7 @@ impl Reactor {
         self.jobs_in_flight -= 1;
         let stale = match self.conns[done.slot].as_mut() {
             Some(c) if c.gen == done.gen => {
-                c.push_response(&done.response, self.inner.chaos.as_ref());
+                c.push_response(&done.response, &self.inner);
                 c.busy = false;
                 false
             }
@@ -375,10 +408,9 @@ impl Reactor {
             self.conns[slot] = Some(c);
         } else {
             self.free.push(slot);
-            self.inner
-                .metrics
-                .connections
-                .set(self.live_connections() as i64);
+            let m = &self.inner.metrics;
+            m.reply_backlog.add(-(c.backlog() as i64));
+            m.connections.set(self.live_connections() as i64);
         }
     }
 
@@ -392,7 +424,7 @@ impl Reactor {
         if !self.advance(c, slot) {
             return false;
         }
-        if !flush_some(c) {
+        if !flush_some(c, &self.inner) {
             return false;
         }
         if c.cut && c.flushed() {
@@ -403,33 +435,43 @@ impl Reactor {
         !(c.closing && !c.busy && c.flushed())
     }
 
-    /// Consume complete request lines until the connection goes busy or
-    /// runs out of input. Returns false when the connection must close
-    /// (oversized line / non-UTF-8 — the same conditions that error
+    /// Consume complete request lines until the connection goes busy,
+    /// its reply backlog stays over the cap, or it runs out of input.
+    /// Returns false when the connection must close (a transport error,
+    /// an oversized line, non-UTF-8 — the same conditions that error
     /// [`crate::protocol::read_line`]).
     fn advance(&mut self, c: &mut Conn, slot: usize) -> bool {
-        while !c.busy && !c.cut {
-            let window = c.rbuf.len().min(MAX_LINE as usize);
-            let Some(nl) = c.rbuf[..window].iter().position(|&b| b == b'\n') else {
+        // Consumed lines are cut from the buffer once, on the way out.
+        let mut start = 0;
+        let keep = loop {
+            if c.backlog() >= REPLY_BACKLOG_CAP && !flush_some(c, &self.inner) {
+                break false;
+            }
+            if !c.parses() {
+                break true;
+            }
+            let rest = &c.rbuf[start..];
+            let window = rest.len().min(MAX_LINE as usize);
+            let Some(nl) = rest[..window].iter().position(|&b| b == b'\n') else {
                 // No complete line: fine mid-stream, fatal past the cap
                 // or once the peer can never finish the line.
-                return (c.rbuf.len() as u64) < MAX_LINE && (!c.closing || c.rbuf.is_empty());
+                break (rest.len() as u64) < MAX_LINE && (!c.closing || rest.is_empty());
             };
-            let mut line: Vec<u8> = c.rbuf.drain(..=nl).collect();
-            line.pop();
+            let mut line = &rest[..nl];
             if line.last() == Some(&b'\r') {
-                line.pop();
+                line = &line[..line.len() - 1];
             }
-            let Ok(line) = String::from_utf8(line) else {
-                return false;
+            let Ok(line) = String::from_utf8(line.to_vec()) else {
+                break false;
             };
+            start += nl + 1;
             let t0 = Instant::now();
             self.inner.metrics.requests.inc();
-            let chaos = self.inner.chaos.as_ref();
             match parse_request(&line) {
-                Ok(Request::RunBin(key_text)) => self.dispatch(c, slot, key_text, t0),
+                Ok(Request::RunBin(key_text)) => self.run_bin(c, slot, &key_text, t0),
                 Ok(req) => {
-                    c.push_response(&Response::Ok(control_payload(&self.inner, &req)), chaos);
+                    let payload = control_payload(&self.inner, &req);
+                    c.push_response(&Response::Ok(payload), &self.inner);
                     if let Some(hist) = self.inner.metrics.latency(&req) {
                         hist.record(t0.elapsed());
                     }
@@ -439,20 +481,44 @@ impl Reactor {
                 }
                 Err(reason) => {
                     self.inner.metrics.errors.inc();
-                    c.push_response(&Response::Err(reason), chaos);
+                    c.push_response(&Response::Err(reason), &self.inner);
                 }
             }
-        }
-        true
+        };
+        c.rbuf.drain(..start);
+        keep
     }
 
-    fn dispatch(&mut self, c: &mut Conn, slot: usize, key_text: String, t0: Instant) {
+    /// One `RUNB`: answered inline when the key is malformed or the
+    /// memory tier holds it, else handed to the dispatch pool, which
+    /// leaves the connection busy until the reply is back.
+    fn run_bin(&mut self, c: &mut Conn, slot: usize, key_text: &str, t0: Instant) {
+        let inner = &*self.inner;
+        // A parser bug must not take the serve loop down with it: a
+        // panic becomes the same retryable ERR a panicked worker sends.
+        let parsed = catch_unwind(AssertUnwindSafe(|| parse_key(inner, key_text)))
+            .unwrap_or_else(|_| Err("key parser panicked".into()));
+        let spec = match parsed {
+            Ok(spec) => spec,
+            Err(reason) => return c.push_response(&runb_reply(inner, Err(reason), t0), inner),
+        };
+        let key = spec.key();
+        // A delayed request stalls a pool worker, never this thread,
+        // so it takes the pool path even when it is warm.
+        let delay = inner.chaos.as_ref().and_then(Chaos::delay);
+        if delay.is_none() {
+            if let Some(hit) = memory_hit(inner, &key) {
+                return c.push_response(&runb_reply(inner, Ok(hit), t0), inner);
+            }
+        }
         c.busy = true;
         self.jobs_in_flight += 1;
         self.shared.submit(DispatchJob {
             slot,
             gen: c.gen,
-            key_text,
+            spec,
+            key,
+            delay,
             t0,
         });
     }
@@ -479,17 +545,33 @@ fn read_some(c: &mut Conn) -> bool {
 
 /// Nonblocking write of the pending response bytes. Returns false on a
 /// fatal transport error (the peer is gone).
-fn flush_some(c: &mut Conn) -> bool {
-    while !c.flushed() {
-        match (&c.stream).write(&c.wbuf[c.wpos..]) {
-            Ok(0) => return false,
-            Ok(n) => c.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+fn flush_some(c: &mut Conn, inner: &Inner) -> bool {
+    let before = c.backlog();
+    let alive = loop {
+        if c.flushed() {
+            c.wbuf.clear();
+            c.wpos = 0;
+            break true;
         }
-    }
-    c.wbuf.clear();
-    c.wpos = 0;
-    true
+        match (&c.stream).write(&c.wbuf[c.wpos..]) {
+            Ok(0) => break false,
+            Ok(n) => c.wpos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                // A peer that reads slowly but never catches up keeps
+                // the buffer from emptying: drop the written prefix.
+                if c.wpos >= REPLY_BACKLOG_CAP {
+                    c.wbuf.drain(..c.wpos);
+                    c.wpos = 0;
+                }
+                break true;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break false,
+        }
+    };
+    inner
+        .metrics
+        .reply_backlog
+        .add(c.backlog() as i64 - before as i64);
+    alive
 }

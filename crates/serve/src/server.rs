@@ -12,6 +12,12 @@
 //!    single-flight coalescing so N concurrent requests for the same
 //!    key trigger exactly one run.
 //!
+//! The reactor thread parses each key and probes the memory tier
+//! itself, so a malformed key (`ERR`) or a memory hit (`OKB`) is
+//! answered without a thread handoff; only disk lookups and
+//! simulations go to the dispatch pool. Both paths count and time a
+//! request the same way.
+//!
 //! One serve loop runs everything: the poll-readiness core in
 //! [`crate::reactor`], one event loop plus a fixed dispatch pool, so
 //! thousands of idle connections cost buffers, not OS threads. Armed
@@ -28,11 +34,11 @@ use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use qprac_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
-use sim::{CellResult, RunCache, RunKey};
+use sim::{CellResult, CellSpec, RunCache, RunKey};
 
 use crate::chaos::{Chaos, ChaosSpec, CHAOS_COUNTERS};
 use crate::memcache::LruCache;
@@ -45,6 +51,12 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7117";
 pub const DEFAULT_LRU_ENTRIES: usize = 4096;
 /// Default concurrent-connection ceiling (`QPRAC_SERVE_MAX_CONNS`).
 pub const DEFAULT_MAX_CONNS: usize = 4096;
+/// Reply-backlog soft cap per connection, in bytes: while more
+/// unflushed reply bytes than this are queued, the server neither reads
+/// nor answers further requests on the connection, so a peer that
+/// pipelines requests and never reads its replies stalls on TCP
+/// backpressure. One reply may still push the backlog past the cap.
+pub const REPLY_BACKLOG_CAP: usize = 256 * 1024;
 /// Disk-cache GC cadence: a sweep every this many stores.
 const GC_EVERY_STORES: u64 = 32;
 
@@ -153,6 +165,8 @@ pub(crate) struct Metrics {
     pub(crate) rejected_conns: Counter,
     /// Currently open connections.
     pub(crate) connections: Gauge,
+    /// Reply bytes queued on all connections but not yet written.
+    pub(crate) reply_backlog: Gauge,
     /// Resolves in progress, queued on the worker semaphore included.
     active: Gauge,
     pub(crate) lat_runb: Arc<Histogram>,
@@ -180,6 +194,7 @@ impl Metrics {
             unknown_mitigation: counter("unknown_mitigation"),
             rejected_conns: counter("rejected_conns"),
             connections: registry.gauge("qprac_connections"),
+            reply_backlog: registry.gauge("qprac_reply_backlog_bytes"),
             active: registry.gauge("qprac_active"),
             lat_runb: lat("runb"),
             lat_stats: lat("stats"),
@@ -224,6 +239,16 @@ pub(crate) struct Inner {
     /// Concurrent-connection ceiling.
     pub(crate) max_conns: usize,
     pub(crate) metrics: Metrics,
+}
+
+impl Inner {
+    /// The memory tier. No cache operation panics halfway through an
+    /// update, so a poisoned lock still guards a consistent cache: the
+    /// poison is ignored rather than allowed to take the reactor thread
+    /// down.
+    pub(crate) fn lru(&self) -> MutexGuard<'_, LruCache<RunKey, Arc<CellResult>>> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Server {
@@ -303,7 +328,7 @@ pub(crate) fn control_payload(inner: &Inner, req: &Request) -> String {
             inner.shutting_down.store(true, Ordering::SeqCst);
             "draining".into()
         }
-        Request::RunBin(_) => unreachable!("RUNB is resolved on the dispatch pool"),
+        Request::RunBin(_) => unreachable!("RUNB is not a control verb"),
     }
 }
 
@@ -394,37 +419,53 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// The three-tier resolve: memory, disk, then single-flight simulate.
-/// Runs on the reactor's dispatch pool.
-pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, String> {
-    let m = &inner.metrics;
-    let _active = ActiveGuard::enter(&m.active);
-    let spec = RunKey::parse_text(key_text).map_err(|e| {
+/// Parse a `RUNB` key. A rejection is final: the reply is a clean
+/// `ERR` the client treats as authoritative.
+pub(crate) fn parse_key(inner: &Inner, key_text: &str) -> Result<CellSpec, String> {
+    RunKey::parse_text(key_text).map_err(|e| {
         // Version-skew signal: a newer peer minted a key for a design
-        // this build does not register. Counted (STATS) and answered
-        // with a clean ERR the client treats as authoritative.
+        // this build does not register. Counted (STATS) separately from
+        // plain errors.
         if matches!(e, sim::KeyError::UnknownMitigation(_)) {
-            m.unknown_mitigation.inc();
+            inner.metrics.unknown_mitigation.inc();
         }
         e.to_string()
-    })?;
-    let key = spec.key();
-    if let Some(hit) = inner.lru.lock().unwrap().get(&key) {
-        m.mem_hits.inc();
+    })
+}
+
+/// The memory tier alone: what the reactor answers inline.
+pub(crate) fn memory_hit(inner: &Inner, key: &RunKey) -> Option<Arc<CellResult>> {
+    let hit = inner.lru().get(key)?;
+    inner.metrics.mem_hits.inc();
+    Some(hit)
+}
+
+/// The full three-tier resolve of a parsed cell and its key: memory,
+/// disk, then single-flight simulate. Runs on the reactor's dispatch
+/// pool.
+pub(crate) fn resolve(
+    inner: &Inner,
+    spec: &CellSpec,
+    key: RunKey,
+) -> Result<Arc<CellResult>, String> {
+    let m = &inner.metrics;
+    let _active = ActiveGuard::enter(&m.active);
+    // The reactor missed the memory tier, but a flight may have
+    // published since (and a delayed request never looked).
+    if let Some(hit) = memory_hit(inner, &key) {
         return Ok(hit);
     }
     if let Some(hit) = inner.disk.load(&key) {
         m.disk_hits.inc();
         let hit = Arc::new(hit);
-        inner.lru.lock().unwrap().insert(key, Arc::clone(&hit));
+        inner.lru().insert(key, Arc::clone(&hit));
         return Ok(hit);
     }
     let (result, led) = inner.flights.run(&key, || {
         // Re-check the caches inside the flight: a previous flight for
         // this key may have published between our miss above and this
         // registration (the group only collapses concurrent work).
-        if let Some(hit) = inner.lru.lock().unwrap().get(&key) {
-            m.mem_hits.inc();
+        if let Some(hit) = memory_hit(inner, &key) {
             return Ok(hit);
         }
         if let Some(hit) = inner.disk.load(&key) {
@@ -461,11 +502,7 @@ pub(crate) fn resolve(inner: &Inner, key_text: &str) -> Result<Arc<CellResult>, 
         {
             inner.disk.gc();
         }
-        inner
-            .lru
-            .lock()
-            .unwrap()
-            .insert(key.clone(), Arc::clone(&result));
+        inner.lru().insert(key.clone(), Arc::clone(&result));
         Ok(result)
     });
     if !led {

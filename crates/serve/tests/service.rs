@@ -1,14 +1,15 @@
 //! End-to-end service tests on an ephemeral port: single-flight
 //! coalescing under concurrent clients, the three cache tiers'
-//! hit counters, engine cells, and graceful handling of malformed and
-//! truncated requests.
+//! hit counters, engine cells, pipelined batches and the reply-backlog
+//! cap, and graceful handling of malformed and truncated requests.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use qprac_serve::protocol::{read_response, Response};
-use qprac_serve::{ChaosSpec, Client, ClientError, Server, ServerConfig};
+use qprac_obs::Snapshot;
+use qprac_serve::protocol::{read_response, write_response, Response};
+use qprac_serve::{ChaosSpec, Client, ClientError, Server, ServerConfig, REPLY_BACKLOG_CAP};
 use sim::{encode_cell, CellResult, MitigationKind, RunCache, RunKey, SystemConfig};
 
 /// A tiny-but-real workload cell (~milliseconds of simulation).
@@ -356,4 +357,127 @@ fn hung_server_times_out_instead_of_stalling() {
         "the deadline must bound the stall (took {:?})",
         t0.elapsed()
     );
+}
+
+/// The server's registry as one `METRICS` scrape.
+fn scrape(client: &mut Client) -> Snapshot {
+    Snapshot::parse_prometheus(&client.metrics().unwrap()).expect("valid exposition")
+}
+
+/// One pipelined batch on one connection: warm hits, a cold key
+/// mid-batch, duplicates, a malformed key and an unknown-mitigation
+/// key. Replies come back in key order, each equal to a local run of
+/// its key, and every `RUNB` is counted exactly once whether the
+/// reactor answered it inline or the dispatch pool resolved it.
+#[test]
+fn pipelined_batch_answers_in_order_with_exact_accounting() {
+    let addr = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let (warm_a, warm_b, cold) = (small_key(300), small_key(310), small_key(320));
+    client.run(&warm_a).unwrap();
+    client.run(&warm_b).unwrap();
+    let unknown = warm_a.as_str().replace("mit=qprac;", "mit=hydra-prac;");
+    let batch = [
+        warm_a.as_str(),
+        warm_b.as_str(),
+        cold.as_str(),
+        warm_a.as_str(),
+        "workload:missing-config",
+        cold.as_str(),
+        &unknown,
+        warm_b.as_str(),
+    ];
+    let before = scrape(&mut client);
+    let mut replies = Vec::new();
+    client.run_many(&batch, |reply| replies.push(reply));
+    let after = scrape(&mut client);
+    assert_eq!(replies.len(), batch.len(), "one reply per key");
+    for (key, reply) in batch.iter().zip(&replies) {
+        match RunKey::parse_text(key) {
+            Ok(spec) => assert_eq!(reply.as_ref().unwrap(), &spec.run(), "{key}"),
+            Err(e) => match reply {
+                Err(ClientError::Server(msg)) => assert_eq!(msg, &e.to_string()),
+                other => panic!("{key}: expected a clean ERR, got {other:?}"),
+            },
+        }
+    }
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("qprac_run_requests_total"), 8);
+    // warm_a twice, warm_b twice, and the cold key's duplicate, which
+    // is read only after the cold key was answered.
+    assert_eq!(delta("qprac_mem_hits_total"), 5);
+    assert_eq!(delta("qprac_simulated_total"), 1);
+    assert_eq!(delta("qprac_errors_total"), 2);
+    assert_eq!(delta("qprac_unknown_mitigation_total"), 1);
+    // The batch plus the second METRICS scrape itself.
+    assert_eq!(delta("qprac_requests_total"), 9);
+    let lat = |s: &Snapshot| s.hists["qprac_lat_runb_us"].count();
+    assert_eq!(lat(&after) - lat(&before), 8, "every RUNB is timed");
+}
+
+/// A peer that pipelines thousands of warm keys and never reads its
+/// replies must stall on TCP backpressure: the server's unflushed reply
+/// bytes stay within one reply of the cap. Once the peer reads, every
+/// reply arrives intact and in order, and the backlog drains to zero.
+#[test]
+fn reply_backlog_stays_capped_for_a_peer_that_never_reads() {
+    const KEYS: usize = 20_000;
+    let addr = spawn_server(ServerConfig::default());
+    let mut control = Client::connect(addr).unwrap();
+    let keys: Vec<RunKey> = (0..4).map(|i| small_key(200 + i)).collect();
+    let frames: Vec<Vec<u8>> = keys
+        .iter()
+        .map(|k| encode_cell(&control.run(k).unwrap()))
+        .collect();
+    // The most one reply, header included, can add past the cap.
+    let reply_max = frames
+        .iter()
+        .map(|f| {
+            let mut wire = Vec::new();
+            write_response(&mut wire, &Response::OkBin(f.clone())).unwrap();
+            wire.len()
+        })
+        .max()
+        .unwrap();
+    let flood = TcpStream::connect(addr).unwrap();
+    let mut writer = BufWriter::new(flood.try_clone().unwrap());
+    let lines = keys.clone();
+    let sender = std::thread::spawn(move || {
+        for i in 0..KEYS {
+            writeln!(writer, "RUNB {}", lines[i % lines.len()]).unwrap();
+        }
+        writer.flush().unwrap();
+    });
+    // Watch the server until it stops answering: the flood is stalled.
+    let (mut peak, mut answered, mut still) = (0, 0, 0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while still < 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        let snap = scrape(&mut control);
+        peak = peak.max(snap.gauge("qprac_reply_backlog_bytes"));
+        let now = snap.counter("qprac_run_requests_total") - keys.len() as u64;
+        still = if now == answered && now > 0 {
+            still + 1
+        } else {
+            0
+        };
+        answered = now;
+    }
+    assert!(
+        (answered as usize) < KEYS,
+        "the server answered all {KEYS} keys to a peer that reads nothing"
+    );
+    assert!(
+        peak as usize <= REPLY_BACKLOG_CAP + reply_max,
+        "reply backlog {peak} B exceeds the {REPLY_BACKLOG_CAP} B cap by more than one reply"
+    );
+    let mut reader = BufReader::new(flood);
+    for i in 0..KEYS {
+        match read_response(&mut reader).unwrap() {
+            Response::OkBin(frame) => assert_eq!(frame, frames[i % frames.len()], "reply {i}"),
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    sender.join().unwrap();
+    assert_eq!(scrape(&mut control).gauge("qprac_reply_backlog_bytes"), 0);
 }
