@@ -1,4 +1,4 @@
-//! Minimal CSV writer used by the figure binaries (no external
+//! Minimal CSV writer used by the spec emitters (no external
 //! serialization crates needed).
 
 use std::fs::{self, File};
@@ -6,7 +6,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Writes simple CSV files under a results directory and mirrors every
-/// row to stdout so figure binaries are self-describing.
+/// row to stdout so every figure run is self-describing.
 #[derive(Debug)]
 pub struct CsvWriter {
     path: PathBuf,

@@ -1,4 +1,6 @@
-//! Ablations of QPRAC's design choices (DESIGN.md §5 extras).
+//! Ablations of QPRAC's design choices, beyond the paper's figures (run
+//! with `run_all ablation_psq_size ablation_opportunistic
+//! ablation_tie_policy`).
 //!
 //! 1. **PSQ size vs security** — §III-E requires `psq_size >= N_mit`
 //!    (and `>= N_mit + 1` with proactive mitigation). We run the wave

@@ -1,7 +1,7 @@
-//! Experiment specs shared by the figure binaries and `run_all`: each
-//! `*_spec()` constructor declares one figure/table as a cell grid plus
-//! an emitter (see [`crate::spec`]); the binaries hand the specs to
-//! [`crate::runner::run_specs`].
+//! The experiment specs of the evaluation: each `*_spec()` constructor
+//! declares one figure/table as a cell grid plus an emitter (see
+//! [`crate::spec`]). [`run_all_specs`] lists them all; `run_all <name>…`
+//! runs the ones [`select_specs`] picks by name.
 
 pub mod ablations;
 pub mod attack_figs;
@@ -53,6 +53,27 @@ pub fn run_all_specs() -> Vec<ExperimentSpec> {
     specs.push(mix::mix_speedup_spec());
     specs.push(compare::compare_mitigations_spec(&sens));
     specs
+}
+
+/// The specs of [`run_all_specs`] whose names appear in `names`, in
+/// sweep order; all of them when `names` is empty. An unknown name is
+/// an error that lists every valid one.
+pub fn select_specs(names: &[String]) -> Result<Vec<ExperimentSpec>, String> {
+    let specs = run_all_specs();
+    if let Some(bad) = names
+        .iter()
+        .find(|n| !specs.iter().any(|s| s.name == n.as_str()))
+    {
+        let valid: Vec<&str> = specs.iter().map(|s| s.name).collect();
+        return Err(format!(
+            "no spec named {bad:?}; valid names: {}",
+            valid.join(" ")
+        ));
+    }
+    Ok(specs
+        .into_iter()
+        .filter(|s| names.is_empty() || names.iter().any(|n| n == s.name))
+        .collect())
 }
 
 /// Representative 12-workload subset used by the sensitivity figures

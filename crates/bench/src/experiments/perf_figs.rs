@@ -5,7 +5,7 @@
 //! every sweep here needs) and simulates each exactly once.
 
 use cpu_model::WorkloadSpec;
-use sim::{geomean, run_workload, MitigationKind, RunStats, SystemConfig};
+use sim::{geomean, MitigationKind, SystemConfig};
 
 use crate::csv::{f, CsvWriter};
 use crate::spec::{ExperimentSpec, Job};
@@ -498,36 +498,3 @@ pub fn table03_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
         Ok(())
     })
 }
-
-/// Length-sensitivity check referenced by DESIGN.md §3.6: the relative
-/// ordering of mitigations is stable across trace lengths.
-pub fn length_sensitivity(workload: &WorkloadSpec) -> Vec<(u64, f64, f64)> {
-    let lengths = [50_000u64, 100_000, 200_000];
-    lengths
-        .iter()
-        .map(|&n| {
-            let base = run_workload(
-                &SystemConfig::paper_default()
-                    .with_mitigation(MitigationKind::None)
-                    .with_instruction_limit(n),
-                workload,
-            );
-            let noop = run_workload(
-                &SystemConfig::paper_default()
-                    .with_mitigation(MitigationKind::QpracNoOp)
-                    .with_instruction_limit(n),
-                workload,
-            );
-            let qprac = run_workload(
-                &SystemConfig::paper_default()
-                    .with_mitigation(MitigationKind::Qprac)
-                    .with_instruction_limit(n),
-                workload,
-            );
-            (n, noop.normalized_perf(&base), qprac.normalized_perf(&base))
-        })
-        .collect()
-}
-
-/// Convenience: re-export RunStats for binaries needing raw runs.
-pub type Run = RunStats;

@@ -1,4 +1,4 @@
-//! Parallel run helper for the figure binaries.
+//! Parallel run helper shared by the runner's executors.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

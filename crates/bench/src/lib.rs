@@ -1,10 +1,12 @@
 //! # qprac-bench
 //!
 //! Benchmark harness and figure/table regeneration for the QPRAC
-//! reproduction. One binary per paper figure/table lives in `src/bin/`
-//! (`fig02` ... `fig23`, `table01` ... `table04`, `wave_validate`,
-//! `run_all`), plus the beyond-paper `mix_speedup` heterogeneous-mix
-//! sweep; Criterion micro-benchmarks live in `benches/`.
+//! reproduction. One binary, `run_all`, regenerates the paper's
+//! figures and tables: `run_all fig14_15 table03` runs the named
+//! specs, bare `run_all` the whole sweep (see
+//! [`experiments::run_all_specs`] for the names). `load_test` and
+//! `trace_smoke` drive a `qprac-serve` cluster and the event tracer;
+//! Criterion micro-benchmarks live in `benches/`.
 //!
 //! Every figure/table is declared as an [`ExperimentSpec`] (a grid of
 //! [`Job`] cells plus a CSV/stdout emitter) in [`experiments`]; the
@@ -13,12 +15,12 @@
 //! remainder through a pluggable [`CellExecutor`] — the in-process work
 //! pool (`QPRAC_JOBS` caps its width) or a shared `qprac-serve` daemon
 //! (`QPRAC_REMOTE=host:port`) — and renders each spec. `run_all`
-//! schedules *all* specs' cells together, so cells shared across
+//! schedules all selected specs' cells together, so cells shared across
 //! figures — notably the unmitigated baselines — simulate exactly
 //! once. See README "Experiment orchestration" and "Simulation
 //! service".
 //!
-//! All binaries print the regenerated series and write CSVs to
+//! Every spec prints its regenerated series and writes CSVs to
 //! `results/` (override with `QPRAC_RESULTS_DIR`). Simulation length is
 //! controlled by `QPRAC_INSTR` (instructions per core, default 100000);
 //! `QPRAC_FULL_SUITE=1` makes the sensitivity figures use all 57
@@ -33,7 +35,7 @@ pub mod spec;
 
 pub use csv::CsvWriter;
 pub use runner::{
-    execute, execute_with, executor_from_env, run_specs, scrape_cluster, scrape_cluster_from_env,
+    execute, execute_with, executor_from_env, scrape_cluster, scrape_cluster_from_env,
     write_cluster_metrics, CellExecutor, FaultStats, LocalExecutor, RemoteExecutor, RunReport,
 };
 pub use spec::{ExperimentSpec, Job, JobResult, ResultSet};

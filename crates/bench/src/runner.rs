@@ -709,11 +709,6 @@ pub fn execute_with(
     })
 }
 
-/// [`execute`] for the single-figure binaries (report discarded).
-pub fn run_specs(specs: Vec<ExperimentSpec>) -> io::Result<()> {
-    execute(&specs).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

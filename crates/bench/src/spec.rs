@@ -10,9 +10,12 @@
 //! cache), and then calls each spec's emitter in order.
 //!
 //! Adding a new figure is therefore a spec constructor: build the cell
-//! grid, and write an emitter that looks each cell up by the same
-//! `(config, workload)` pair. See `experiments/perf_figs.rs` for
-//! templates and the README section "Experiment orchestration".
+//! grid, write an emitter that looks each cell up by the same
+//! `(config, workload)` pair, and list the spec in
+//! [`crate::experiments::run_all_specs`], which makes it runnable as
+//! `run_all <name>` and puts it under the `bin_smoke` suite. See
+//! `experiments/perf_figs.rs` for templates and the README section
+//! "Experiment orchestration".
 
 use std::collections::HashMap;
 
@@ -36,7 +39,8 @@ pub type EmitFn = Box<dyn Fn(&ResultSet) -> std::io::Result<()>>;
 
 /// One declared figure/table.
 pub struct ExperimentSpec {
-    /// Name used in progress output (usually the CSV stem).
+    /// The name `run_all` selects the spec by (unique across
+    /// `run_all_specs()`; usually the CSV stem).
     pub name: &'static str,
     /// Every cell the emitter will look up. Cells may repeat across
     /// specs (and within one) — the runner dedupes globally.

@@ -1,12 +1,17 @@
-//! Smoke coverage for the figure/table binaries: each one must run end
-//! to end — construct its configs, drive its (shrunken) experiment, and
-//! write its CSVs — without panicking. `QPRAC_INSTR` /
-//! `QPRAC_ATTACK_WINDOW` shrink the simulations so the whole suite
-//! stays fast; the numbers are meaningless at these lengths and are not
-//! checked, only the exit status.
+//! Smoke coverage for every experiment spec: `run_all <name>` must run
+//! end to end — construct the spec's configs, drive its (shrunken)
+//! cells, and write its CSVs — without panicking, once for each name in
+//! `run_all_specs()`. `every_spec_is_smoked_once` pins the smoke list
+//! to that spec list, so a new spec cannot go unsmoked.
+//! `QPRAC_INSTR` / `QPRAC_ATTACK_WINDOW` shrink the simulations so the
+//! whole suite stays fast; the numbers are meaningless at these lengths
+//! and are not checked, only the exit status.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use qprac_bench::experiments::run_all_specs;
 
 /// Instructions per core for the shrunken runs.
 const SMOKE_INSTR: &str = "400";
@@ -15,48 +20,61 @@ const SMOKE_WINDOW: &str = "20000";
 
 fn results_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qprac-smoke-{}-{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
-fn run_bin(exe: &str, test: &str) {
-    let dir = results_dir(test);
-    let out = Command::new(exe)
+/// Run `run_all args…` at smoke scale with results under `dir`.
+fn spawn_run_all(args: &[&str], dir: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args)
         .env("QPRAC_INSTR", SMOKE_INSTR)
         .env("QPRAC_ATTACK_WINDOW", SMOKE_WINDOW)
-        .env("QPRAC_RESULTS_DIR", &dir)
-        // A developer's persistent cache, thread cap or remote server
-        // must not leak into the smoke runs.
+        .env("QPRAC_RESULTS_DIR", dir)
+        // A developer's persistent cache, thread cap, remote server or
+        // scale knobs must not leak into the smoke runs.
         .env_remove("QPRAC_RUN_CACHE")
         .env_remove("QPRAC_JOBS")
         .env_remove("QPRAC_REMOTE")
+        .env_remove("QPRAC_FULL_SUITE")
+        .env_remove("QPRAC_NO_FASTFORWARD")
         .output()
-        .expect("spawn figure binary");
+        .expect("spawn run_all")
+}
+
+fn smoke(args: &[&str], test: &str) {
+    let dir = results_dir(test);
+    let out = spawn_run_all(args, &dir);
     assert!(
         out.status.success(),
-        "{exe} failed with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        "run_all {args:?} failed with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
         out.status,
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    // Every figure binary reports its series on stdout.
-    assert!(!out.stdout.is_empty(), "{exe} printed nothing");
+    // Every spec reports its series on stdout.
+    assert!(!out.stdout.is_empty(), "run_all {args:?} printed nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-macro_rules! bin_smoke {
-    ($($name:ident),+ $(,)?) => {$(
-        #[test]
-        fn $name() {
-            run_bin(
-                env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                stringify!($name),
-            );
-        }
-    )+};
+macro_rules! spec_smoke {
+    ($($name:ident),+ $(,)?) => {
+        /// Every smoked spec name, in `run_all_specs()` order.
+        const SMOKED: &[&str] = &[$(stringify!($name)),+];
+        $(
+            #[test]
+            fn $name() {
+                smoke(&[stringify!($name)], stringify!($name));
+            }
+        )+
+    };
 }
 
-bin_smoke!(
+spec_smoke!(
+    table01,
+    table02,
+    table04,
     fig02,
     fig03,
     fig06,
@@ -65,35 +83,72 @@ bin_smoke!(
     fig11,
     fig12,
     fig13,
-    fig14,
-    fig15,
+    fig23,
+    wave_validate,
+    fig19,
     fig16,
     fig17,
     fig18,
-    fig19,
     fig20,
-    fig21,
-    fig22,
-    fig23,
-    table01,
-    table02,
+    fig21_22,
     table03,
-    table04,
-    wave_validate,
-    ablations,
+    fig14_15,
+    ablation_psq_size,
+    ablation_opportunistic,
+    ablation_tie_policy,
     mix_speedup,
     compare_mitigations,
 );
 
-/// `run_all` re-runs every experiment above (through the global
+/// The smoke list is exactly the spec list: a spec added to (or
+/// renamed in) `run_all_specs()` fails here until it is smoked. Names
+/// must be unique, because `run_all` selects specs by name, and
+/// `run_all`'s usage header must name every one of them.
+#[test]
+fn every_spec_is_smoked_once() {
+    let specs = run_all_specs();
+    let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
+    let unique: HashSet<&str> = names.iter().copied().collect();
+    assert_eq!(unique.len(), names.len(), "duplicate spec names: {names:?}");
+    assert_eq!(SMOKED, names.as_slice(), "smoke list != run_all_specs()");
+    let header = include_str!("../src/bin/run_all.rs");
+    for name in names {
+        assert!(
+            header.contains(&format!("`{name}`")),
+            "run_all.rs header does not list {name}"
+        );
+    }
+}
+
+/// An unknown spec name or flag is rejected before any cell runs: a
+/// non-zero exit, the valid names on stderr, and no CSV written.
+#[test]
+fn unknown_spec_or_flag_exits_before_any_cell_runs() {
+    for (arg, test) in [("no_such_spec", "bad-spec"), ("--proifle", "bad-flag")] {
+        let dir = results_dir(test);
+        let out = spawn_run_all(&[arg], &dir);
+        assert_eq!(out.status.code(), Some(2), "run_all {arg} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(arg), "stderr must name {arg}: {stderr}");
+        for name in SMOKED {
+            assert!(stderr.contains(name), "stderr must list {name}: {stderr}");
+        }
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "run_all {arg} wrote {written:?}");
+        assert!(out.stdout.is_empty(), "run_all {arg} started the sweep");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Bare `run_all` re-runs every spec above (through the global
 /// dedupe/scheduler, so cheaper than the sum of its parts, but still
 /// pure duplication of this suite) — ignored by default, but kept
 /// runnable (`cargo test -p qprac-bench --test bin_smoke -- --ignored`)
-/// because it is the binary users reach for first. The CI workflow
+/// because it is the command users reach for first. The CI workflow
 /// additionally runs it twice (cold then warm `QPRAC_RUN_CACHE`) and
 /// asserts the warm pass reports cache hits.
 #[test]
 #[ignore = "duplicates every other smoke test; run explicitly with --ignored"]
 fn run_all() {
-    run_bin(env!("CARGO_BIN_EXE_run_all"), "run_all");
+    smoke(&[], "run_all");
 }

@@ -1,12 +1,12 @@
-//! Refactor-fidelity goldens: figure/table binaries rendered through
-//! the spec/runner path must emit CSVs byte-identical to snapshots
-//! captured from the pre-refactor (imperative-loop) code at the same
-//! shrunken environment. Covers one analytical figure (fig07), one
+//! Refactor-fidelity goldens: figures/tables rendered through `run_all
+//! <spec>` (the spec/runner path) must emit CSVs byte-identical to
+//! snapshots captured from the pre-refactor (imperative-loop) code at
+//! the same shrunken environment. Covers one analytical figure (fig07), one
 //! table (table04) and one simulation-driven sensitivity sweep (fig18,
 //! which exercises the work pool, the baseline dedupe and the
 //! `RunKey` normalization of unmitigated cells).
 //!
-//! The binaries run as subprocesses with a pinned environment
+//! `run_all` runs as a subprocess with a pinned environment
 //! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
 //! snapshots are reproducible and the test never mutates this process'
 //! environment.
@@ -21,9 +21,10 @@ fn results_dir(test: &str) -> PathBuf {
     dir
 }
 
-fn run_and_compare(exe: &str, test: &str, csvs: &[(&str, &str)]) {
-    let dir = results_dir(test);
-    let out = Command::new(exe)
+fn run_and_compare(spec: &str, csvs: &[(&str, &str)]) {
+    let dir = results_dir(spec);
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg(spec)
         .env("QPRAC_INSTR", "400")
         .env("QPRAC_ATTACK_WINDOW", "20000")
         .env("QPRAC_RESULTS_DIR", &dir)
@@ -32,10 +33,10 @@ fn run_and_compare(exe: &str, test: &str, csvs: &[(&str, &str)]) {
         .env_remove("QPRAC_NO_FASTFORWARD")
         .env_remove("QPRAC_REMOTE")
         .output()
-        .expect("spawn figure binary");
+        .expect("spawn run_all");
     assert!(
         out.status.success(),
-        "{exe} failed with {:?}\n--- stderr ---\n{}",
+        "run_all {spec} failed with {:?}\n--- stderr ---\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr),
     );
@@ -53,17 +54,12 @@ fn run_and_compare(exe: &str, test: &str, csvs: &[(&str, &str)]) {
 
 #[test]
 fn fig07_matches_pre_refactor_snapshot() {
-    run_and_compare(
-        env!("CARGO_BIN_EXE_fig07"),
-        "fig07",
-        &[("fig07", include_str!("golden/fig07.csv"))],
-    );
+    run_and_compare("fig07", &[("fig07", include_str!("golden/fig07.csv"))]);
 }
 
 #[test]
 fn table04_matches_pre_refactor_snapshot() {
     run_and_compare(
-        env!("CARGO_BIN_EXE_table04"),
         "table04",
         &[("table04", include_str!("golden/table04.csv"))],
     );
@@ -71,11 +67,7 @@ fn table04_matches_pre_refactor_snapshot() {
 
 #[test]
 fn fig18_matches_pre_refactor_snapshot() {
-    run_and_compare(
-        env!("CARGO_BIN_EXE_fig18"),
-        "fig18",
-        &[("fig18", include_str!("golden/fig18.csv"))],
-    );
+    run_and_compare("fig18", &[("fig18", include_str!("golden/fig18.csv"))]);
 }
 
 /// Canonical-key fidelity through the registry refactor: the exact key

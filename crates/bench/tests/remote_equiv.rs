@@ -165,19 +165,20 @@ fn remote_execution_is_byte_identical_to_local() {
 /// registered design — including the three zoo additions — must
 /// round-trip the key-only wire protocol (`RunKey::parse_text` →
 /// `CellSpec::run` on the server) and produce byte-identical CSVs.
-/// Runs the real binary as subprocesses so the env-driven remote
-/// selection path is the one exercised, without mutating this process'
-/// environment.
+/// Runs `run_all compare_mitigations` as subprocesses so the
+/// env-driven remote selection path is the one exercised, without
+/// mutating this process' environment.
 #[test]
 fn compare_mitigations_is_byte_identical_local_vs_remote() {
     let addr = Server::bind("127.0.0.1:0", ServerConfig::default())
         .unwrap()
         .spawn()
         .unwrap();
-    let exe = env!("CARGO_BIN_EXE_compare_mitigations");
+    let exe = env!("CARGO_BIN_EXE_run_all");
     let run = |dir: &Path, remote: Option<&str>| {
         let mut cmd = std::process::Command::new(exe);
-        cmd.env("QPRAC_INSTR", "400")
+        cmd.arg("compare_mitigations")
+            .env("QPRAC_INSTR", "400")
             .env("QPRAC_RESULTS_DIR", dir)
             .env_remove("QPRAC_RUN_CACHE")
             .env_remove("QPRAC_JOBS")
@@ -186,7 +187,7 @@ fn compare_mitigations_is_byte_identical_local_vs_remote() {
             Some(addr) => cmd.env("QPRAC_REMOTE", addr),
             None => cmd.env_remove("QPRAC_REMOTE"),
         };
-        let out = cmd.output().expect("spawn compare_mitigations");
+        let out = cmd.output().expect("spawn run_all compare_mitigations");
         assert!(
             out.status.success(),
             "compare_mitigations failed ({:?}):\n{}",

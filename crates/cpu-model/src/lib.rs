@@ -10,7 +10,8 @@
 //! - [`trace`] — the Ramulator2-style trace format (synthetic and file
 //!   sources);
 //! - [`workloads`] — the 57-workload synthetic suite standing in for the
-//!   paper's SPEC/TPC/Hadoop/MediaBench/YCSB traces (DESIGN.md §3.6);
+//!   paper's SPEC/TPC/Hadoop/MediaBench/YCSB traces (README
+//!   "Reproducing the paper");
 //! - [`mix`] — named heterogeneous 4-slot mixes over that suite, scored
 //!   by weighted speedup in the `mix_speedup` experiment.
 //!

@@ -8,8 +8,8 @@
 //! qualitative range — from cache-resident compute (<0.1 row-buffer
 //! misses per kilo-instruction) to memory-thrashing pointer chasers
 //! (>20). Names map 1:1 onto the paper's suites (e.g.
-//! `spec06/mcf_like`). See DESIGN.md §3.6 for why this substitution
-//! preserves the behaviour the evaluation measures.
+//! `spec06/mcf_like`). See README "Reproducing the paper" for why this
+//! substitution preserves the behaviour the evaluation measures.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -5,8 +5,8 @@
 //! (smaller `k` tolerates lower T_RH) and cost (each RFM blocks the bank
 //! for tRFM = 350 ns).
 //!
-//! The cadences here are calibrated to the anchor points published for
-//! each design (DESIGN.md §3.5):
+//! The cadences here are calibrated to the anchor points each design's
+//! own paper publishes:
 //!
 //! - PrIDE: 1 mitigation/tREFI (~67 ACTs) is secure at T_RH 1700, and an
 //!   RFM per ~10 ACTs is needed at T_RH 250 → `k ≈ T_RH / 25`.

@@ -1,20 +1,19 @@
-//! Versioned binary serialization for [`CellResult`] — the warm-path
-//! twin of the [`crate::serdes`] text form.
+//! [`CellResult`] — the value one simulation cell produces — and its
+//! versioned binary serialization, the one format results are stored
+//! in and sent as.
 //!
-//! Warm cache hits used to re-parse the text rendering on every lookup
+//! Warm cache hits used to re-parse a text rendering on every lookup
 //! (float parsing dominating); this codec stores the same data as
 //! fixed-width little-endian words so a hit is a `memcpy`-shaped
-//! decode. The discipline is identical to the text parser: lossless or
-//! error, never a default. Migration safety comes from three layers of
-//! framing:
+//! decode. Decoding is lossless or an error, never a default.
+//! Migration safety comes from three layers of framing:
 //!
 //! 1. a **version byte** ([`VERSION`]) — bumped on any layout change,
 //!    so old entries decode to a clean error (a cache miss) instead of
 //!    misaligned garbage;
 //! 2. a **field-count byte** ahead of every struct — a struct gaining
 //!    or losing a field changes the count, which is rejected before any
-//!    field is read (the binary analogue of the text parser's strict
-//!    field accounting);
+//!    field is read;
 //! 3. an **FNV-1a checksum trailer** over the whole frame — flipped or
 //!    truncated bytes fail the checksum before any length field is
 //!    trusted, so corruption can neither panic the decoder nor resurrect
@@ -33,7 +32,11 @@
 //!
 //! The checksum covers `version..payload`; `len` must account for the
 //! payload exactly and the frame must end after the trailer — trailing
-//! bytes are an error, exactly like an unknown text line.
+//! bytes are an error.
+//!
+//! The text renderers in [`crate::stats`] are the reference the codec
+//! is tested against: `{:?}` prints floats in shortest round-trip form
+//! (and `-0.0` as such), so equal renderings mean bit-identical values.
 
 use cpu_model::{CacheStats, CoreStats};
 use dram_core::DeviceStats;
@@ -41,8 +44,41 @@ use energy_model::EnergyBreakdown;
 use mem_ctrl::McStats;
 
 use crate::attack::BwAttackStats;
-use crate::serdes::CellResult;
-use crate::stats::RunStats;
+use crate::stats::{attack_to_text, RunStats};
+
+/// The value one simulation cell produces — the unit of the bench run
+/// cache and of the `qprac-serve` wire protocol. (`Stats` is boxed: a
+/// `RunStats` is an order of magnitude larger than the other variants.)
+#[derive(Debug, Clone, PartialEq)]
+pub enum CellResult {
+    /// A full-system run ([`crate::run_workload`] / [`crate::run_mix`]).
+    Stats(Box<RunStats>),
+    /// A bandwidth-attack run ([`crate::run_bandwidth_attack`]).
+    Attack(BwAttackStats),
+    /// An attack-engine count (`attack_engine::EngineSpec::run`).
+    Count(u64),
+}
+
+impl CellResult {
+    /// Short kind tag naming the variant.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CellResult::Stats(_) => "stats",
+            CellResult::Attack(_) => "attack",
+            CellResult::Count(_) => "count",
+        }
+    }
+
+    /// The lossless text rendering of this result (without its
+    /// `kind()` tag), as `qprac-client` prints it.
+    pub fn payload(&self) -> String {
+        match self {
+            CellResult::Stats(s) => s.to_cache_text(),
+            CellResult::Attack(a) => attack_to_text(a),
+            CellResult::Count(c) => c.to_string(),
+        }
+    }
+}
 
 /// Current frame-layout version. Decoders reject every other value.
 pub const VERSION: u8 = 1;
@@ -561,8 +597,8 @@ mod tests {
     fn binary_and_text_forms_agree() {
         for cell in sample_cells() {
             let via_binary = decode_cell(&encode_cell(&cell)).unwrap();
-            let via_text = CellResult::from_payload(cell.kind(), &cell.payload()).unwrap();
-            assert_eq!(via_binary, via_text);
+            assert_eq!(via_binary.kind(), cell.kind());
+            assert_eq!(via_binary.payload(), cell.payload());
         }
     }
 }

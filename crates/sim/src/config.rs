@@ -48,7 +48,7 @@ pub struct SystemConfig {
 /// unparsable* also falls back, but prints one greppable `warning:`
 /// line — a silently ignored `QPRAC_INSTR=10k` once cost a full wrong
 /// sweep. Shared by every `QPRAC_*` knob (the examples and the bench
-/// figure binaries) so the fallback policy lives in one place.
+/// binaries) so the fallback policy lives in one place.
 pub fn env_u64(name: &str, default: u64) -> u64 {
     match std::env::var(name) {
         Ok(v) => {
@@ -152,7 +152,8 @@ impl SystemConfig {
     /// Paper defaults: 4 cores, N_BO = 32, PRAC-1, 5-entry PSQ, RFMab,
     /// QPRAC+Proactive-EA. The instruction limit defaults to 100 K per
     /// core and can be overridden with the `QPRAC_INSTR` environment
-    /// variable (DESIGN.md §3.6 documents the scaling argument).
+    /// variable (README "Reproducing the paper" gives the scaling
+    /// argument).
     pub fn paper_default() -> Self {
         let instr = env_u64("QPRAC_INSTR", 100_000);
         SystemConfig {

@@ -8,7 +8,7 @@
 //!   (paper §V);
 //! - [`System`] binds the substrates and runs until every core retires
 //!   its instruction budget;
-//! - [`run_workload`] is the one-call entry used by the figure binaries;
+//! - [`run_workload`] is the one-call entry behind every workload cell;
 //! - [`attack`] implements the §VI-E multi-bank performance attack
 //!   (Fig 19).
 //!
@@ -30,17 +30,15 @@ pub mod codec;
 pub mod config;
 pub mod runcache;
 pub mod runkey;
-pub mod serdes;
 pub mod stats;
 pub mod system;
 
 pub use attack::{run_bandwidth_attack, run_bandwidth_attack_with, BwAttackStats};
-pub use codec::{decode_cell, encode_cell};
+pub use codec::{decode_cell, encode_cell, CellResult};
 pub use config::{env_dir, env_flag, env_opt, env_u64, env_usize, MitigationKind, SystemConfig};
 pub use dram_core::{EventKind, Recorder, TraceHandle};
 pub use runcache::{GcReport, RunCache};
 pub use runkey::{CellSpec, KeyError, RunKey};
-pub use serdes::CellResult;
 pub use stats::{geomean, RunStats};
 pub use system::System;
 

@@ -35,10 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use crate::codec;
+use crate::codec::{self, CellResult};
 use crate::config::{env_dir, env_u64};
 use crate::runkey::RunKey;
-use crate::serdes::CellResult;
 
 /// Default directory used when the env knob is set to `1`/`true`.
 pub const DEFAULT_CACHE_DIR: &str = "target/qprac-run-cache";

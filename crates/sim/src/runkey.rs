@@ -20,8 +20,8 @@ use cpu_model::{WorkloadMix, WorkloadSpec};
 use dram_core::{MappingScheme, RfmKind};
 use mitigations::TokenError;
 
+use crate::codec::CellResult;
 use crate::config::SystemConfig;
-use crate::serdes::CellResult;
 
 /// Why a run key failed to parse.
 ///

@@ -5,7 +5,9 @@ use dram_core::DeviceStats;
 use energy_model::EnergyBreakdown;
 use mem_ctrl::McStats;
 
-/// Everything the figure binaries need from one run.
+use crate::attack::BwAttackStats;
+
+/// Everything the figure specs need from one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// CPU cycles elapsed until every core hit its instruction limit.
@@ -119,19 +121,26 @@ impl RunStats {
         )
     }
 
-    /// Full cacheable text form: [`Self::golden_repr`] plus the
-    /// per-channel device statistics. Round-trips losslessly through
-    /// [`Self::from_cache_text`].
+    /// Full lossless text form: [`Self::golden_repr`] plus one
+    /// `channel_device=[...]` line the golden files deliberately omit.
+    /// Like `golden_repr`, equal renderings mean bit-identical
+    /// statistics, so it is the reference the binary
+    /// [`crate::codec`] is checked against; `qprac-client` prints it.
     pub fn to_cache_text(&self) -> String {
-        crate::serdes::to_text(self)
+        format!(
+            "{}\nchannel_device={:?}",
+            self.golden_repr(),
+            self.channel_device
+        )
     }
+}
 
-    /// Parse [`Self::to_cache_text`] output. Strict: unknown, missing
-    /// or malformed fields are errors (the run cache treats them as
-    /// misses rather than loading a partial result).
-    pub fn from_cache_text(text: &str) -> Result<RunStats, String> {
-        crate::serdes::from_text(text)
-    }
+/// Render a [`BwAttackStats`] in the same `field=value` text form.
+pub fn attack_to_text(a: &BwAttackStats) -> String {
+    format!(
+        "acts={}\nmem_cycles={}\nalerts={}\nrfms={}",
+        a.acts, a.mem_cycles, a.alerts, a.rfms
+    )
 }
 
 /// Geometric mean helper for figure aggregation rows.

@@ -1,12 +1,16 @@
-//! Property tests for the binary cache codec: randomized `CellResult`
-//! payloads (including multi-channel `RunStats` with adversarial
-//! floats — subnormals, -0.0, huge magnitudes) must round-trip
-//! bit-exactly through `encode_cell`/`decode_cell`, and the binary and
-//! text forms must describe the same value: text → binary → text is
-//! byte-identical. Mirrors `serdes_prop.rs`, which pins the text side.
+//! Property tests for the binary cache codec and the keys it is stored
+//! under. Randomized `CellResult` payloads (including multi-channel
+//! `RunStats` with adversarial values — huge counters, subnormal,
+//! negative and -0.0 floats, empty and 8-wide IPC vectors) must
+//! round-trip bit-exactly through `encode_cell`/`decode_cell`, and the
+//! text rendering — the reference form — of a decoded value must be
+//! byte-identical to that of the original. The key-side properties
+//! iterate the mitigation registry, so every registered design
+//! (including ones added after these tests were written) gets render →
+//! parse → render key coverage and cache round-trip coverage.
 
 use cpu_model::{CacheStats, CoreStats};
-use dram_core::DeviceStats;
+use dram_core::{DeviceStats, RfmKind};
 use energy_model::EnergyBreakdown;
 use mem_ctrl::McStats;
 use proptest::prelude::*;
@@ -17,7 +21,8 @@ use sim::{
 /// Turn raw bits into a finite f64 (infinities and NaNs cannot appear
 /// in real statistics and would break `PartialEq`-based comparison);
 /// everything else — subnormals, -0.0, huge magnitudes — passes
-/// through and must survive the `f64::to_bits` framing unchanged.
+/// through and must survive the `f64::to_bits` framing unchanged and
+/// render distinctly under `{:?}`.
 fn finite_f64(bits: u64) -> f64 {
     let v = f64::from_bits(bits);
     if v.is_finite() {
@@ -118,8 +123,8 @@ proptest! {
 
     /// Cross-form equivalence: the text rendering of a value that has
     /// been through the binary codec is byte-identical to the text
-    /// rendering of the original, so a cache migrated text → binary →
-    /// text reproduces its old files exactly.
+    /// rendering of the original. `{:?}` prints every float in its
+    /// shortest round-trip form, so this is as strict as a parse-back.
     #[test]
     fn text_binary_text_is_byte_identical(
         words in proptest::collection::vec(0u64..u64::MAX, 120..121),
@@ -129,14 +134,66 @@ proptest! {
         let mut w = Words(words.into_iter());
         let stats = w.stats(channels, cores);
         let text = stats.to_cache_text();
-        // Start from the text form, as a migration would.
-        let parsed = RunStats::from_cache_text(&text).expect("parse text form");
-        let frame = encode_cell(&CellResult::Stats(Box::new(parsed)));
-        let decoded = decode_cell(&frame).expect("decode migrated frame");
+        let cell = CellResult::Stats(Box::new(stats));
+        let decoded = decode_cell(&encode_cell(&cell)).expect("decode own encoding");
+        prop_assert_eq!(decoded.payload(), cell.payload());
         let CellResult::Stats(back) = decoded else {
             panic!("binary round-trip changed the payload kind");
         };
         prop_assert_eq!(back.to_cache_text(), text);
+    }
+
+    /// Registry-driven key property: for EVERY registered mitigation
+    /// and arbitrary knob values, the rendered canonical key parses
+    /// back to a spec that re-renders byte-identically. This is the
+    /// wire/caching contract `qprac-serve` relies on, proven for the
+    /// whole zoo instead of a hand-listed variant array.
+    #[test]
+    fn every_registry_key_renders_parses_and_re_renders(
+        pick in 0usize..usize::MAX,
+        trh in 25u32..2_000,
+        nbo in 1u32..256,
+        nmit_pick in 0usize..3,
+        psq in 1usize..9,
+        pro in 1u32..8,
+        channels_pow in 0u32..3,
+        instr in 1u64..1_000_000,
+        seed in 0u64..u64::MAX,
+        rfm_pick in 0usize..3,
+        plain in any::<bool>(),
+    ) {
+        let specs = mitigations::registry();
+        let spec = &specs[pick % specs.len()];
+        let nmit = [1u8, 2, 4][nmit_pick];
+        let rfm = [RfmKind::AllBank, RfmKind::SameBank, RfmKind::PerBank][rfm_pick];
+        // Exercise the trh-parameterized token form when the design
+        // has one (mithril@{trh} / pride@{trh}).
+        let kind = match spec.at_trh {
+            Some(at) => at(trh),
+            None => spec.default_kind,
+        };
+        let cfg = SystemConfig {
+            plain_timing: plain,
+            seed,
+            ..SystemConfig::paper_default()
+                .with_mitigation(kind)
+                .with_nbo(nbo)
+                .with_nmit(nmit)
+                .with_psq_size(psq)
+                .with_proactive_per_refs(pro)
+                .with_channels(1 << channels_pow)
+                .with_instruction_limit(instr)
+                .with_alert_rfm_kind(rfm)
+        };
+        for key in [
+            RunKey::workload(&cfg, "ycsb/a_like"),
+            RunKey::mix(&cfg, "mix/hot_quad"),
+            RunKey::attack(&cfg, 8, 60_000),
+        ] {
+            let parsed = RunKey::parse_text(key.as_str())
+                .unwrap_or_else(|e| panic!("{key} failed to parse: {e}"));
+            prop_assert_eq!(parsed.key(), key);
+        }
     }
 
     #[test]
@@ -161,8 +218,9 @@ proptest! {
     /// Registry-driven persistence property: a result cached under any
     /// registered design's key — every zoo entry, not a hand-picked
     /// few — reloads bit-identically through the `RunCache`. This is
-    /// the on-disk half of the wire contract `serdes_prop.rs` pins for
-    /// key text.
+    /// the on-disk half of the wire contract
+    /// `every_registry_key_renders_parses_and_re_renders` pins for key
+    /// text.
     #[test]
     fn every_registry_key_round_trips_through_the_cache(
         words in proptest::collection::vec(0u64..u64::MAX, 120..121),

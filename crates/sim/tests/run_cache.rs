@@ -1,12 +1,16 @@
-//! Run-cache foundations: the text serialization must round-trip real
-//! multi-channel runs losslessly, and the `RunKey` normalization rules
-//! (each registry entry's declared-inert tracker knobs, all of them
-//! under `MitigationKind::None`) must hold differentially — equal keys
-//! imply bit-identical statistics.
+//! Run-cache foundations: the cache codec must round-trip real
+//! multi-channel runs losslessly (checked against the text rendering),
+//! and the `RunKey` normalization rules (each registry entry's
+//! declared-inert tracker knobs, all of them under
+//! `MitigationKind::None`) must hold differentially — equal keys imply
+//! bit-identical statistics.
 
 use cpu_model::WorkloadSpec;
 use dram_core::RfmKind;
-use sim::{run_bandwidth_attack, run_workload, MitigationKind, RunKey, RunStats, SystemConfig};
+use sim::{
+    decode_cell, encode_cell, run_bandwidth_attack, run_workload, CellResult, MitigationKind,
+    RunKey, SystemConfig,
+};
 
 /// Flip every knob the registry entry declares inert for `kind` away
 /// from its paper default. If the keys still collapse but the stats
@@ -54,9 +58,11 @@ fn cache_text_round_trips_a_multi_channel_alert_storm() {
         );
     }
     let text = stats.to_cache_text();
-    let back = RunStats::from_cache_text(&text).expect("parse cached stats");
-    assert_eq!(back, stats, "cache round-trip must be lossless");
-    assert_eq!(back.to_cache_text(), text, "re-render must be stable");
+    assert!(text.contains("\nchannel_device=[DeviceStats {"), "{text}");
+    let cell = CellResult::Stats(Box::new(stats));
+    let back = decode_cell(&encode_cell(&cell)).expect("decode cached stats");
+    assert_eq!(back, cell, "cache round-trip must be lossless");
+    assert_eq!(back.payload(), text, "re-render must be stable");
 }
 
 #[test]

@@ -137,8 +137,8 @@ fn rfm_granularity_ordering_under_attack() {
     );
 }
 
-/// DESIGN.md §3.6: the mitigation ordering is stable across trace
-/// lengths (the scaling argument for the shortened runs).
+/// The mitigation ordering is stable across trace lengths: the scaling
+/// argument for the shortened runs (README "Reproducing the paper").
 #[test]
 fn shape_is_stable_across_run_lengths() {
     // Lengths start where counters have warmed past N_BO (alerts begin

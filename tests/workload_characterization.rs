@@ -1,8 +1,8 @@
 //! Workload-suite characterization: the synthetic suite must actually
 //! span the paper's intensity range and drive the DRAM the way the
-//! evaluation assumes (DESIGN.md §3.6). These tests pin the suite's
-//! aggregate properties so future tuning cannot silently break the
-//! figures.
+//! evaluation assumes (README "Reproducing the paper"). These tests pin
+//! the suite's aggregate properties so future tuning cannot silently
+//! break the figures.
 
 use cpu_model::{all57, TraceSource, WorkloadSpec};
 use sim::{run_workload, MitigationKind, SystemConfig};
