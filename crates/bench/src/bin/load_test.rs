@@ -30,10 +30,12 @@
 //! Output ends with one greppable line:
 //! `load-test: shards=.. clients=.. idle=.. unique=.. requests=.. simulated=.. wall_ms=.. rps=..`
 //!
-//! Shard list comes from `QPRAC_REMOTE` or argv[1]; `--profile` prints
-//! the per-phase wall-time table (here: remote round trips). Exit code
-//! is nonzero on any failed request or a broken invariant — CI runs
-//! this against a 3-shard cluster.
+//! Shard list comes from `QPRAC_REMOTE` or the first argument that is
+//! not a flag; `--profile` (before or after it) prints the per-phase
+//! wall-time table (here: remote round trips). Any other `--flag`
+//! exits 2 with a usage line. Exit code is nonzero on any failed
+//! request or a broken invariant — CI runs this against a 3-shard
+//! cluster.
 
 use std::collections::HashSet;
 use std::net::TcpStream;
@@ -59,10 +61,33 @@ fn per_shard_simulated(shards: &[String]) -> Vec<u64> {
         .collect()
 }
 
+const USAGE: &str = "usage: load_test [--profile] <host:port[,host:port...]> (or set QPRAC_REMOTE)";
+
+/// The shard list argument: the first argument that is not a flag.
+/// Exits 2 with the usage line on an unknown `--flag`.
+fn shard_arg() -> Option<String> {
+    let mut shards = None;
+    for arg in std::env::args().skip(1) {
+        if arg == "--profile" {
+            continue;
+        }
+        if arg.starts_with("--") {
+            eprintln!("load_test: unknown flag {arg}\n{USAGE}");
+            std::process::exit(2);
+        }
+        shards.get_or_insert(arg);
+    }
+    shards
+}
+
 fn main() {
+    let shard_arg = shard_arg();
     let addrs = sim::env_opt("QPRAC_REMOTE")
-        .or_else(|| std::env::args().nth(1))
-        .expect("usage: load_test <host:port[,host:port...]> (or set QPRAC_REMOTE)");
+        .or(shard_arg)
+        .unwrap_or_else(|| {
+            eprintln!("load_test: no shards\n{USAGE}");
+            std::process::exit(2);
+        });
     let map = ShardMap::from_list(&addrs);
     assert!(!map.is_empty(), "no shards in {addrs:?}");
     let shards = map.shards().to_vec();

@@ -140,6 +140,63 @@ fn unknown_spec_or_flag_exits_before_any_cell_runs() {
     }
 }
 
+/// Run `load_test args…` with no shard list in the environment and no
+/// idle connections, so the first thing it does on the network is ask
+/// the named shard for its counters.
+fn spawn_load_test(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_load_test"))
+        .args(args)
+        .env("QPRAC_LOAD_IDLE", "0")
+        .env_remove("QPRAC_REMOTE")
+        .output()
+        .expect("spawn load_test")
+}
+
+/// `--profile` may come before or after the shard list: either way the
+/// shard list is the first argument that is not a flag, so a run
+/// against a closed port fails naming that port, not the flag.
+#[test]
+fn load_test_takes_the_first_non_flag_argument_as_shards() {
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("probe a free port")
+        .to_string();
+    for args in [
+        ["--profile", closed.as_str()],
+        [closed.as_str(), "--profile"],
+    ] {
+        let out = spawn_load_test(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "load_test {args:?} succeeded");
+        assert!(
+            stderr.contains(&format!("shard {closed} unreachable")),
+            "load_test {args:?} must fail on shard {closed}: {stderr}"
+        );
+    }
+}
+
+/// An unknown flag exits 2 with the usage line, as `run_all` does,
+/// before any cell is collected or any shard contacted.
+#[test]
+fn load_test_rejects_unknown_flags() {
+    let out = spawn_load_test(&["--proifle", "127.0.0.1:9"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "load_test --proifle must exit 2"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--proifle"),
+        "stderr must name the flag: {stderr}"
+    );
+    assert!(
+        stderr.contains("usage: load_test"),
+        "no usage line: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "load_test --proifle started the run");
+}
+
 /// Bare `run_all` re-runs every spec above (through the global
 /// dedupe/scheduler, so cheaper than the sum of its parts, but still
 /// pure duplication of this suite) — ignored by default, but kept

@@ -64,14 +64,6 @@ impl Default for CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// Result of an LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LlcAccess {
@@ -111,18 +103,32 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
+/// Dirty flag in a way's `meta` byte; the low bits hold its LRU age.
+const DIRTY: u8 = 0x80;
+/// LRU age mask of a `meta` byte: 0 is the most recently used valid
+/// way of its set, `valid ways - 1` the least.
+const AGE: u8 = 0x7f;
+/// Stands for the age of an invalid way: older than any valid one.
+const INVALID_AGE: u8 = AGE + 1;
+
 /// The shared last-level cache.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: CacheConfig,
-    /// All ways, one contiguous allocation: set `s` occupies
-    /// `ways[s * cfg.ways .. (s + 1) * cfg.ways]` (a per-set `Vec` would
-    /// cost one allocation per set — 16 K for the paper geometry — and a
-    /// pointer chase per access).
-    ways: Vec<Way>,
+    /// Way tags, set `s` at `tags[base + s * ways ..][..ways]`, stored as
+    /// `tag + 1` so that 0 marks an invalid way. `base` aligns the array
+    /// to 64 bytes, so an 8-way set is exactly one host cache line (the
+    /// hit scan touches nothing else).
+    tags: Vec<u64>,
+    base: usize,
+    /// Per-way dirty bit and LRU age, indexed like `tags` minus `base`.
+    /// Ages rank the valid ways of a set by recency, which picks the
+    /// same victim as per-access timestamps in an eighth of the space.
+    meta: Vec<u8>,
     num_sets: u64,
     mshrs: LineMap<Mshr>,
-    tick: u64,
+    /// Emptied waiter lists of retired MSHRs, reused by new misses.
+    free_waiters: Vec<Vec<u64>>,
     stats: CacheStats,
 }
 
@@ -134,20 +140,23 @@ impl Llc {
             num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
+        assert!(
+            (1..=INVALID_AGE as usize).contains(&cfg.ways),
+            "associativity must fit the LRU age field"
+        );
+        let lines = num_sets as usize * cfg.ways;
+        // Zeroed allocations stay untouched until first use; seven
+        // spare slots leave room to start on a 64-byte boundary.
+        let tags = vec![0u64; lines + 7];
+        let base = (tags.as_ptr() as usize).wrapping_neg() % 64 / 8;
         Llc {
-            ways: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0
-                };
-                num_sets as usize * cfg.ways
-            ],
+            tags,
+            base,
+            meta: vec![0u8; lines],
             num_sets,
             cfg,
             mshrs: LineMap::default(),
-            tick: 0,
+            free_waiters: Vec::new(),
             stats: CacheStats::default(),
         }
     }
@@ -170,19 +179,32 @@ impl Llc {
         line >> self.num_sets.trailing_zeros()
     }
 
+    /// Make way `first + way` the most recently used of its set: every
+    /// valid way younger than its old age `age` (`INVALID_AGE` for a way
+    /// that was invalid) ages by one.
+    fn promote(&mut self, first: usize, way: usize, age: u8) {
+        let ways = self.cfg.ways;
+        let tags = &self.tags[self.base + first..][..ways];
+        for (m, &t) in self.meta[first..first + ways].iter_mut().zip(tags) {
+            if t != 0 && *m & AGE < age {
+                *m += 1;
+            }
+        }
+        self.meta[first + way] &= DIRTY;
+    }
+
     /// Access `line`. For loads, `token` identifies the waiter to wake on
     /// fill; stores pass `token = u64::MAX` and are posted (write-
     /// allocate: a missing store triggers a fetch and dirties the line on
     /// fill).
     pub fn access(&mut self, line: u64, is_store: bool, token: u64) -> LlcAccess {
-        self.tick += 1;
-        let set = self.set_of(line);
-        let tag = self.tag_of(line);
-        let ways = &mut self.ways[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = self.tick;
+        let first = self.set_of(line) * self.cfg.ways;
+        let key = self.tag_of(line) + 1;
+        let tags = &self.tags[self.base + first..][..self.cfg.ways];
+        if let Some(way) = tags.iter().position(|&t| t == key) {
+            self.promote(first, way, self.meta[first + way] & AGE);
             if is_store {
-                w.dirty = true;
+                self.meta[first + way] |= DIRTY;
             }
             self.stats.hits += 1;
             return LlcAccess::Hit;
@@ -200,10 +222,11 @@ impl Llc {
             self.stats.blocked += 1;
             return LlcAccess::Blocked;
         }
-        let mut m = Mshr::default();
-        if is_store {
-            m.store_pending = true;
-        } else {
+        let mut m = Mshr {
+            waiters: self.free_waiters.pop().unwrap_or_default(),
+            store_pending: is_store,
+        };
+        if !is_store {
             m.waiters.push(token);
         }
         self.mshrs.insert(line, m);
@@ -211,43 +234,51 @@ impl Llc {
         LlcAccess::MissFetch
     }
 
-    /// Install `line` after its memory fetch completes. Returns the
-    /// tokens to wake and any dirty eviction.
+    /// Install `line` after its memory fetch completes, appending the
+    /// load tokens to wake to `waiters` (in arrival order). Returns the
+    /// dirty line evicted to make room, if any.
     ///
     /// # Panics
     ///
     /// Panics if no MSHR exists for `line` (fills must match fetches).
-    pub fn fill(&mut self, line: u64) -> FillOutcome {
-        let m = self.mshrs.remove(&line).expect("fill without MSHR");
-        self.tick += 1;
+    pub fn fill_into(&mut self, line: u64, waiters: &mut Vec<u64>) -> Option<u64> {
+        let mut m = self.mshrs.remove(&line).expect("fill without MSHR");
+        waiters.append(&mut m.waiters);
+        self.free_waiters.push(m.waiters);
         let set = self.set_of(line);
-        let tag = self.tag_of(line);
-        let ways = &mut self.ways[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-        // Choose victim: invalid way or LRU.
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("non-empty set");
-        let old = ways[victim];
-        let writeback = if old.valid && old.dirty {
+        let first = set * self.cfg.ways;
+        let tags = &self.tags[self.base + first..][..self.cfg.ways];
+        // Victim: the first invalid way, else the least recently used.
+        let (victim, age) = match tags.iter().position(|&t| t == 0) {
+            Some(way) => (way, INVALID_AGE),
+            None => {
+                let ages = &self.meta[first..first + self.cfg.ways];
+                let way = (0..ages.len())
+                    .max_by_key(|&w| ages[w] & AGE)
+                    .expect("non-empty set");
+                (way, ages[way] & AGE)
+            }
+        };
+        let old = tags[victim];
+        let writeback = if old != 0 && self.meta[first + victim] & DIRTY != 0 {
             self.stats.writebacks += 1;
             // Reconstruct the victim's line address.
-            Some(old.tag << self.num_sets.trailing_zeros() | set as u64)
+            Some((old - 1) << self.num_sets.trailing_zeros() | set as u64)
         } else {
             None
         };
-        ways[victim] = Way {
-            tag,
-            valid: true,
-            dirty: m.store_pending,
-            lru: self.tick,
-        };
-        FillOutcome {
-            waiters: m.waiters,
-            writeback,
-        }
+        self.promote(first, victim, age);
+        self.tags[self.base + first + victim] = self.tag_of(line) + 1;
+        self.meta[first + victim] = if m.store_pending { DIRTY } else { 0 };
+        writeback
+    }
+
+    /// [`fill_into`](Self::fill_into) returning the waiters in a fresh
+    /// `Vec`.
+    pub fn fill(&mut self, line: u64) -> FillOutcome {
+        let mut waiters = Vec::new();
+        let writeback = self.fill_into(line, &mut waiters);
+        FillOutcome { waiters, writeback }
     }
 
     /// Outstanding misses.

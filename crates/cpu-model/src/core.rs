@@ -147,6 +147,10 @@ pub struct Core {
     /// The memory op waiting for dispatch, if any.
     pending_op: Option<TraceEntry>,
     next_token: u64,
+    /// [`stalled_on_memory`](Self::stalled_on_memory), refreshed by
+    /// every mutation that can change it (`tick`, `finish_load`): the
+    /// simulator asks once per core per stepped cycle.
+    stalled: bool,
     stats: CoreStats,
 }
 
@@ -173,6 +177,7 @@ impl Core {
             pending_bubbles: 0,
             pending_op: None,
             next_token: (core_id as u64) << 48,
+            stalled: false,
             stats: CoreStats::default(),
         }
     }
@@ -191,6 +196,7 @@ impl Core {
     pub fn finish_load(&mut self, token: u64) {
         self.finished.insert(token);
         self.outstanding = self.outstanding.saturating_sub(1);
+        self.stalled = self.compute_stalled();
     }
 
     /// Loads currently in flight (diagnostics).
@@ -209,6 +215,11 @@ impl Core {
     /// possible (bubbles to dispatch, an unfetched trace entry, a posted
     /// store, a memory system that could accept a retry) reports `false`.
     pub fn stalled_on_memory(&self) -> bool {
+        debug_assert_eq!(self.stalled, self.compute_stalled());
+        self.stalled
+    }
+
+    fn compute_stalled(&self) -> bool {
         // Retirement: possible unless the ROB head is a load whose data
         // has not returned.
         match self.rob.front() {
@@ -322,6 +333,7 @@ impl Core {
                 }
             }
         }
+        self.stalled = self.compute_stalled();
     }
 }
 

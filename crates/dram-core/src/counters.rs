@@ -7,7 +7,8 @@
 //! through the [`CounterAccess`] trait and never own them, mirroring the
 //! split between the DRAM array and the small CAM logic in real hardware.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::types::RowId;
 
@@ -27,22 +28,42 @@ pub trait CounterAccess {
     fn top_n(&self, n: usize) -> Vec<(RowId, u32)>;
 }
 
-/// Rows per lazily-allocated counter page (16 KB of `u32`s). A bank has
-/// 128 K rows in the paper geometry, but short runs touch only a few
-/// thousand; lazy pages keep construction O(pages) instead of zeroing
-/// 512 KB per bank (32 MB per channel) up front, and keep the touched
-/// working set small enough to stay cache-resident.
-const PAGE_ROWS: usize = 4096;
+/// Multiply-shift hasher for row ids (SipHash is overkill on the
+/// per-activation path).
+#[derive(Default)]
+struct RowHasher(u64);
 
-/// Dense per-row counters with an optional ordered index, stored as
-/// lazily-allocated fixed-size pages.
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fibonacci multiply-shift: spreads sequential row ids.
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// Per-row counters holding only the rows with a non-zero count, with
+/// an optional ordered index.
+///
+/// A bank has 128 K rows in the paper geometry, but a run touches a few
+/// thousand at most: a sparse map keeps construction free and the
+/// touched working set small enough to stay cache-resident, where a
+/// dense array spreads the same counts over 512 KB per bank.
 ///
 /// The ordered index (`BTreeSet<(count, row)>`) costs O(log rows) per
 /// update and is only needed by oracle trackers (QPRAC-Ideal / UPRAC) that
 /// must know the global top-N; it is disabled by default.
 #[derive(Debug, Clone)]
 pub struct PracCounters {
-    pages: Vec<Option<Box<[u32]>>>,
+    counts: HashMap<u32, u32, BuildHasherDefault<RowHasher>>,
     rows: u32,
     ordered: Option<BTreeSet<(u32, u32)>>,
     total_acts: u64,
@@ -52,7 +73,7 @@ impl PracCounters {
     /// Create counters for a bank with `rows` rows.
     pub fn new(rows: u32, track_order: bool) -> Self {
         PracCounters {
-            pages: vec![None; (rows as usize).div_ceil(PAGE_ROWS)],
+            counts: HashMap::default(),
             rows,
             ordered: track_order.then(BTreeSet::new),
             total_acts: 0,
@@ -62,11 +83,8 @@ impl PracCounters {
     /// Increment `row`'s counter (one activation or one victim refresh)
     /// and return the post-increment value.
     pub fn increment(&mut self, row: RowId) -> u32 {
-        let idx = row.0 as usize;
-        assert!(idx < self.rows as usize, "row out of range");
-        let page = self.pages[idx / PAGE_ROWS]
-            .get_or_insert_with(|| vec![0; PAGE_ROWS].into_boxed_slice());
-        let slot = &mut page[idx % PAGE_ROWS];
+        assert!(row.0 < self.rows, "row out of range");
+        let slot = self.counts.entry(row.0).or_insert(0);
         let old = *slot;
         let new = old.saturating_add(1);
         *slot = new;
@@ -90,46 +108,31 @@ impl PracCounters {
         if let Some(ordered) = &self.ordered {
             ordered.iter().next_back().map_or(0, |&(c, _)| c)
         } else {
-            self.pages
-                .iter()
-                .flatten()
-                .flat_map(|page| page.iter().copied())
-                .max()
-                .unwrap_or(0)
+            self.counts.values().copied().max().unwrap_or(0)
         }
     }
 
-    /// Iterate over all `(row, count)` pairs with non-zero counts.
+    /// Iterate over all `(row, count)` pairs with non-zero counts, in
+    /// ascending row order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (RowId, u32)> + '_ {
-        self.pages.iter().enumerate().flat_map(|(p, page)| {
-            page.iter()
-                .flat_map(|counts| counts.iter().enumerate())
-                .filter(|(_, &c)| c > 0)
-                .map(move |(i, &c)| (RowId((p * PAGE_ROWS + i) as u32), c))
-        })
+        let mut all: Vec<(RowId, u32)> = self.counts.iter().map(|(&r, &c)| (RowId(r), c)).collect();
+        all.sort_unstable_by_key(|&(r, _)| r);
+        all.into_iter()
     }
 }
 
 impl CounterAccess for PracCounters {
     fn count(&self, row: RowId) -> u32 {
-        let idx = row.0 as usize;
-        assert!(idx < self.rows as usize, "row out of range");
-        self.pages[idx / PAGE_ROWS]
-            .as_ref()
-            .map_or(0, |page| page[idx % PAGE_ROWS])
+        assert!(row.0 < self.rows, "row out of range");
+        self.counts.get(&row.0).copied().unwrap_or(0)
     }
 
     fn reset(&mut self, row: RowId) {
-        let idx = row.0 as usize;
-        assert!(idx < self.rows as usize, "row out of range");
-        let Some(page) = self.pages[idx / PAGE_ROWS].as_mut() else {
+        assert!(row.0 < self.rows, "row out of range");
+        // Only non-zero counts are stored, so a present entry is > 0.
+        let Some(old) = self.counts.remove(&row.0) else {
             return;
         };
-        let old = page[idx % PAGE_ROWS];
-        if old == 0 {
-            return;
-        }
-        page[idx % PAGE_ROWS] = 0;
         if let Some(ordered) = &mut self.ordered {
             ordered.remove(&(old, row.0));
         }
@@ -152,8 +155,10 @@ impl CounterAccess for PracCounters {
                 .collect()
         } else {
             // Linear selection: adequate for tests and small banks. Ties
-            // break toward the higher row id to match the ordered index.
-            let mut all: Vec<(RowId, u32)> = self.iter_nonzero().collect();
+            // break toward the higher row id to match the ordered index,
+            // so the result is independent of the map's order.
+            let mut all: Vec<(RowId, u32)> =
+                self.counts.iter().map(|(&r, &c)| (RowId(r), c)).collect();
             all.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
             all.truncate(n);
             all

@@ -175,6 +175,29 @@ impl BankBitSet {
         self.words.fill(0);
     }
 
+    /// Add every bank of `other` (a set of the same size).
+    pub fn union_with(&mut self, other: &BankBitSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// Keep only the banks for which `keep` returns true, visiting the
+    /// members in ascending order.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                rest ^= bit;
+                // Branch-free: which members go is data-dependent and
+                // would mispredict.
+                let drop = u64::from(!keep(w * 64 + bit.trailing_zeros() as usize));
+                *word ^= bit & drop.wrapping_neg();
+            }
+        }
+    }
+
     /// The lowest bank index in the set, if any.
     pub fn first(&self) -> Option<usize> {
         self.words

@@ -115,19 +115,32 @@ pub struct MemoryController {
     completions: Vec<Completion>,
     /// Next REF due time per rank.
     ref_due: Vec<Cycle>,
-    /// Ranks whose REF deadline has passed but whose REF has not issued
-    /// yet; FR-FCFS must not open new rows there (recomputed each tick).
-    ref_pending: Vec<bool>,
-    banks_per_rank: usize,
+    /// The earliest of `ref_due`: before it no rank is overdue.
+    ref_next_due: Cycle,
+    /// The banks of each rank, as [`BankBitSet`]s.
+    rank_banks: Vec<BankBitSet>,
+    /// The banks of the ranks whose REF deadline has passed but whose
+    /// REF has not issued yet; FR-FCFS must not open new rows there
+    /// (recomputed each tick).
+    ref_blocked: BankBitSet,
     /// Per-bank wake hint: a cycle before which the bank provably cannot
-    /// contribute any schedulable command, so the FR-FCFS sweep skips it
-    /// with one compare. Conservative: 0 means "unknown, scan it". Set
-    /// when a sweep finds a bank fully timing-blocked; cleared whenever
-    /// the bank's queues or open-row state change (enqueue, any command
-    /// to the bank). Rank/bus constraints only ever move legality later,
-    /// so a stale hint can undershoot (harmless rescan) but never skip a
-    /// legal command.
+    /// contribute any schedulable command. Conservative: 0 means
+    /// "unknown, scan it". Set when a sweep finds a bank fully
+    /// timing-blocked; cleared whenever the bank's queues or open-row
+    /// state change (enqueue, any command to the bank). Rank/bus
+    /// constraints only ever move legality later, so a stale hint can
+    /// undershoot (harmless rescan) but never skip a legal command.
+    /// Only [`sleep_bank`](Self::sleep_bank) and
+    /// [`clear_wake`](Self::clear_wake) write it, keeping `asleep` in
+    /// step.
     bank_wake: Vec<Cycle>,
+    /// Banks whose `bank_wake` lies in the future: the sweep never
+    /// visits them. Always a subset of `busy_banks`.
+    asleep: BankBitSet,
+    /// Lower bound on `bank_wake` over `asleep` (`Cycle::MAX` when it is
+    /// empty). Once `now` reaches it, [`wake_due`](Self::wake_due)
+    /// returns the due banks to the sweep and recomputes it.
+    sleep_min: Cycle,
     /// ACTs since the last periodic RFM, per bank.
     acts_since_rfm: Vec<u32>,
     /// Banks owing a periodic RFM.
@@ -151,7 +164,19 @@ impl MemoryController {
         let banks = device.cfg().num_banks();
         let ranks = device.cfg().ranks as usize;
         let trefi = device.cfg().timing.trefi;
-        let banks_per_rank = device.cfg().banks_per_rank();
+        let rank_banks = (0..ranks as u8)
+            .map(|rank| {
+                let mut set = BankBitSet::new(banks);
+                for b in device.bank_ids_of_rank(rank) {
+                    set.insert(b.0 as usize);
+                }
+                set
+            })
+            .collect();
+        // Stagger per-rank refreshes across the tREFI window.
+        let ref_due: Vec<Cycle> = (0..ranks)
+            .map(|r| trefi + r as Cycle * (trefi / ranks.max(1) as Cycle))
+            .collect();
         MemoryController {
             cfg,
             device,
@@ -163,13 +188,13 @@ impl MemoryController {
             drain_mode: false,
             next_id: 0,
             completions: Vec::new(),
-            // Stagger per-rank refreshes across the tREFI window.
-            ref_due: (0..ranks)
-                .map(|r| trefi + r as Cycle * (trefi / ranks.max(1) as Cycle))
-                .collect(),
-            ref_pending: vec![false; ranks],
-            banks_per_rank,
+            ref_next_due: ref_due.iter().copied().min().unwrap_or(Cycle::MAX),
+            ref_due,
+            rank_banks,
+            ref_blocked: BankBitSet::new(banks),
             bank_wake: vec![0; banks],
+            asleep: BankBitSet::new(banks),
+            sleep_min: Cycle::MAX,
             acts_since_rfm: vec![0; banks],
             rfm_owed: VecDeque::new(),
             stats: McStats::default(),
@@ -276,7 +301,7 @@ impl MemoryController {
         self.busy_banks.insert(bank);
         // A new request can make the bank schedulable sooner (e.g. a
         // fresh row hit), so the wake hint must be recomputed.
-        self.bank_wake[bank] = 0;
+        self.clear_wake(bank);
         Some(id)
     }
 
@@ -285,9 +310,43 @@ impl MemoryController {
         !self.completions.is_empty()
     }
 
-    /// Drain completion notifications accumulated since the last call.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Drain completion notifications accumulated since the last call
+    /// (the buffer keeps its capacity for the next ones).
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
+    }
+
+    /// Forget `bank`'s wake hint: its state changed, so the next sweep
+    /// must look at it again.
+    fn clear_wake(&mut self, bank: usize) {
+        self.bank_wake[bank] = 0;
+        self.asleep.remove(bank);
+    }
+
+    /// Record that `bank` cannot contribute a command before `wake`
+    /// (strictly after the current cycle), taking it out of the sweep
+    /// until then.
+    fn sleep_bank(&mut self, bank: usize, wake: Cycle) {
+        self.bank_wake[bank] = wake;
+        self.asleep.insert(bank);
+        self.sleep_min = self.sleep_min.min(wake);
+    }
+
+    /// Return every asleep bank whose wake hint has come due to the
+    /// sweep, and recompute `sleep_min` over the banks still asleep.
+    fn wake_due(&mut self, now: Cycle) {
+        if now < self.sleep_min {
+            return;
+        }
+        let mut min = Cycle::MAX;
+        let bank_wake = &self.bank_wake;
+        self.asleep.retain(|bank| {
+            let wake = bank_wake[bank];
+            let keep = wake > now;
+            min = min.min(if keep { wake } else { Cycle::MAX });
+            keep
+        });
+        self.sleep_min = min;
     }
 
     /// Advance one memory cycle, issuing at most one DRAM command.
@@ -302,6 +361,7 @@ impl MemoryController {
     /// it; the fast-forwarding simulator uses it to elide the provably
     /// dead ticks in between.
     pub fn tick(&mut self, now: Cycle) -> Cycle {
+        self.wake_due(now);
         if self.device.alert_since().is_some() {
             self.stats.alert_service_cycles += 1;
             return self.service_alert(now);
@@ -409,7 +469,7 @@ impl MemoryController {
             .copied()
             .find(|&b| self.device.can_precharge(b, now));
         if let Some(b) = pre {
-            self.bank_wake[b.0 as usize] = 0;
+            self.clear_wake(b.0 as usize);
             self.device.precharge(b, now);
             return now + 1;
         }
@@ -422,29 +482,39 @@ impl MemoryController {
     /// Ranks whose REF deadline passed but which cannot make progress
     /// this cycle (open banks still settling through tRAS/tRTP/tWR, or
     /// the rank blocked by a REF/RFM) no longer burn the whole command
-    /// slot; they are marked in `ref_pending` — which bars FR-FCFS from
+    /// slot; their banks are marked in `ref_blocked` — which bars FR-FCFS from
     /// issuing new ACTs or column commands to them, so they drain
     /// monotonically toward the REF — while demand on other ranks keeps
     /// flowing.
     fn service_refresh(&mut self, now: Cycle) -> bool {
+        if now < self.ref_next_due {
+            // No rank is overdue; the last REF left `ref_blocked` empty.
+            return false;
+        }
         let ranks = self.device.cfg().ranks;
+        self.ref_blocked.clear();
         for rank in 0..ranks as usize {
-            self.ref_pending[rank] = now >= self.ref_due[rank];
+            if now >= self.ref_due[rank] {
+                self.ref_blocked.union_with(&self.rank_banks[rank]);
+            }
         }
         for rank in 0..ranks {
-            if !self.ref_pending[rank as usize] {
+            if now < self.ref_due[rank as usize] {
                 continue;
             }
             if self.device.can_refresh(rank, now) {
                 self.device.refresh(rank, now);
                 self.ref_due[rank as usize] += self.device.cfg().timing.trefi;
-                self.ref_pending[rank as usize] = false;
+                self.ref_next_due = self.ref_due.iter().copied().min().unwrap_or(Cycle::MAX);
+                if now < self.ref_next_due {
+                    self.ref_blocked.clear();
+                }
                 return true;
             }
             // Precharge one bank of the rank to make progress.
             for b in self.device.bank_ids_of_rank(rank) {
                 if self.device.can_precharge(b, now) {
-                    self.bank_wake[b.0 as usize] = 0;
+                    self.clear_wake(b.0 as usize);
                     self.device.precharge(b, now);
                     return true;
                 }
@@ -475,7 +545,7 @@ impl MemoryController {
             && self.write_q[b].is_empty()
             && self.device.can_precharge(bank, now)
         {
-            self.bank_wake[b] = 0;
+            self.clear_wake(b);
             self.device.precharge(bank, now);
             return true;
         }
@@ -495,22 +565,22 @@ impl MemoryController {
 
     /// FR-FCFS: column hits, then oldest-first activations, then
     /// precharges for row conflicts. One sweep over the banks with
-    /// queued work (`busy_banks`) collects all three candidate kinds;
-    /// banks of a rank with an overdue REF are skipped so the rank can
-    /// quiesce, and banks whose `bank_wake` hint proves them
-    /// timing-blocked cost a single compare.
+    /// queued work (`busy_banks`) collects all three candidate kinds.
+    /// It visits only banks that are awake: banks of a rank with an
+    /// overdue REF are left alone so the rank can quiesce, and banks
+    /// whose `bank_wake` hint proves them timing-blocked sit in `asleep`
+    /// until [`wake_due`](Self::wake_due) returns them.
     ///
     /// Returns the earliest cycle demand scheduling could act again
-    /// (`now + 1` when a command issued or a candidate existed; the
-    /// minimum wake hint otherwise), accumulated during the sweep so the
-    /// fast-forward path gets its event bound for free.
+    /// (`now + 1` when a command issued or a candidate existed;
+    /// `sleep_min`, a lower bound on the asleep banks' wakes, otherwise),
+    /// so the fast-forward path gets its event bound for free.
     fn schedule_frfcfs(&mut self, now: Cycle) -> Cycle {
         let reads_pending = self.pending_reads() > 0;
         if self.drain_mode && self.writes_buffered <= self.cfg.write_drain_low {
             self.drain_mode = false;
         }
         let prefer_writes = self.drain_mode || !reads_pending;
-        let mut wake_min = Cycle::MAX;
         // Banks that offered at least one candidate this cycle: with two
         // or more, whichever loses arbitration stays issuable, so the
         // next cycle is live; with exactly one (the issuing bank), its
@@ -524,108 +594,107 @@ impl MemoryController {
         let mut best: Option<(Cycle, usize, usize, bool)> = None; // (arrived, bank, idx, is_write)
         let mut act: Option<(Cycle, usize, RowId)> = None;
         let mut pre: Option<(Cycle, usize)> = None;
-        for bank in self.busy_banks.iter() {
-            if self.ref_pending[bank / self.banks_per_rank] {
-                continue;
-            }
-            if self.bank_wake[bank] > now {
-                wake_min = wake_min.min(self.bank_wake[bank]);
-                continue;
-            }
-            let bid = BankId(bank as u16);
-            let Some(open_row) = self.device.open_row(bid) else {
-                // Closed bank: activation candidate for the oldest head.
-                let head = match (
-                    self.read_q[bank].front(),
-                    self.write_q[bank].front(),
-                    prefer_writes,
-                ) {
-                    (Some(r), Some(w), false) => {
-                        if r.arrived <= w.arrived {
-                            r
-                        } else {
-                            w
+        for wi in 0..self.busy_banks.words().len() {
+            // Ascending bank order within and across words, as a
+            // `0..banks` scan, so tie-breaking is unchanged.
+            let mut word = self.busy_banks.words()[wi]
+                & !self.asleep.words()[wi]
+                & !self.ref_blocked.words()[wi];
+            while word != 0 {
+                let bank = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let bid = BankId(bank as u16);
+                let Some(open_row) = self.device.open_row(bid) else {
+                    // Closed bank: activation candidate for the oldest head.
+                    let head = match (
+                        self.read_q[bank].front(),
+                        self.write_q[bank].front(),
+                        prefer_writes,
+                    ) {
+                        (Some(r), Some(w), false) => {
+                            if r.arrived <= w.arrived {
+                                r
+                            } else {
+                                w
+                            }
                         }
-                    }
-                    (Some(r), Some(w), true) => {
-                        if w.arrived <= r.arrived {
-                            w
-                        } else {
-                            r
+                        (Some(r), Some(w), true) => {
+                            if w.arrived <= r.arrived {
+                                w
+                            } else {
+                                r
+                            }
                         }
+                        (Some(r), None, _) => r,
+                        (None, Some(w), _) => w,
+                        (None, None, _) => unreachable!("bank in busy_banks has a request"),
+                    };
+                    let wake = self.device.next_activate_at(bid);
+                    if now >= wake {
+                        contributors += 1;
+                        if act.is_none_or(|(a, ..)| head.arrived < a) {
+                            act = Some((head.arrived, bank, head.addr.row));
+                        }
+                    } else {
+                        self.sleep_bank(bank, wake);
                     }
-                    (Some(r), None, _) => r,
-                    (None, Some(w), _) => w,
-                    (None, None, _) => unreachable!("bank in busy_banks has a request"),
-                };
-                let wake = self.device.next_activate_at(bid);
-                if now >= wake {
-                    contributors += 1;
-                    if act.is_none_or(|(a, ..)| head.arrived < a) {
-                        act = Some((head.arrived, bank, head.addr.row));
-                    }
-                } else {
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
-                }
-                continue;
-            };
-            // Open bank: find the first hit in each queue.
-            let first_hit = |q: &VecDeque<MemRequest>| {
-                q.iter()
-                    .enumerate()
-                    .find(|(_, r)| r.addr.row == open_row)
-                    .map(|(i, r)| (r.arrived, i))
-            };
-            let read_hit = first_hit(&self.read_q[bank]);
-            let write_hit = first_hit(&self.write_q[bank]);
-            if read_hit.is_some() || write_hit.is_some() {
-                let wake = self.device.next_column_at(bid, false);
-                if now < wake {
-                    // Read timing blocked; writes share the constraint
-                    // path closely enough to skip the bank this cycle.
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
                     continue;
-                }
-                contributors += 1;
-                type Best = Option<(Cycle, usize, usize, bool)>;
-                fn offer(best: &mut Best, bank: usize, hit: Option<(Cycle, usize)>, wr: bool) {
-                    if let Some((arrived, idx)) = hit {
-                        if best.is_none_or(|(a, ..)| arrived < a) {
-                            *best = Some((arrived, bank, idx, wr));
+                };
+                // Open bank: find the first hit in each queue.
+                let first_hit = |q: &VecDeque<MemRequest>| {
+                    q.iter()
+                        .enumerate()
+                        .find(|(_, r)| r.addr.row == open_row)
+                        .map(|(i, r)| (r.arrived, i))
+                };
+                let read_hit = first_hit(&self.read_q[bank]);
+                let write_hit = first_hit(&self.write_q[bank]);
+                if read_hit.is_some() || write_hit.is_some() {
+                    let wake = self.device.next_column_at(bid, false);
+                    if now < wake {
+                        // Read timing blocked; writes share the constraint
+                        // path closely enough to skip the bank this cycle.
+                        self.sleep_bank(bank, wake);
+                        continue;
+                    }
+                    contributors += 1;
+                    type Best = Option<(Cycle, usize, usize, bool)>;
+                    fn offer(best: &mut Best, bank: usize, hit: Option<(Cycle, usize)>, wr: bool) {
+                        if let Some((arrived, idx)) = hit {
+                            if best.is_none_or(|(a, ..)| arrived < a) {
+                                *best = Some((arrived, bank, idx, wr));
+                            }
                         }
                     }
-                }
-                if prefer_writes {
-                    offer(&mut best, bank, write_hit, true);
-                    if best.is_none_or(|(_, b, _, w)| !(b == bank && w)) {
-                        offer(&mut best, bank, read_hit, false);
-                    }
-                } else {
-                    offer(&mut best, bank, read_hit, false);
-                    if read_hit.is_none() {
+                    if prefer_writes {
                         offer(&mut best, bank, write_hit, true);
-                    }
-                }
-            } else {
-                // Open row with no pending hit: conflict, precharge.
-                let wake = self.device.next_precharge_at(bid);
-                if now >= wake {
-                    contributors += 1;
-                    let head_arrived = self.read_q[bank]
-                        .front()
-                        .into_iter()
-                        .chain(self.write_q[bank].front())
-                        .map(|r| r.arrived)
-                        .min()
-                        .expect("bank in busy_banks has a request");
-                    if pre.is_none_or(|(a, _)| head_arrived < a) {
-                        pre = Some((head_arrived, bank));
+                        if best.is_none_or(|(_, b, _, w)| !(b == bank && w)) {
+                            offer(&mut best, bank, read_hit, false);
+                        }
+                    } else {
+                        offer(&mut best, bank, read_hit, false);
+                        if read_hit.is_none() {
+                            offer(&mut best, bank, write_hit, true);
+                        }
                     }
                 } else {
-                    self.bank_wake[bank] = wake;
-                    wake_min = wake_min.min(wake);
+                    // Open row with no pending hit: conflict, precharge.
+                    let wake = self.device.next_precharge_at(bid);
+                    if now >= wake {
+                        contributors += 1;
+                        let head_arrived = self.read_q[bank]
+                            .front()
+                            .into_iter()
+                            .chain(self.write_q[bank].front())
+                            .map(|r| r.arrived)
+                            .min()
+                            .expect("bank in busy_banks has a request");
+                        if pre.is_none_or(|(a, _)| head_arrived < a) {
+                            pre = Some((head_arrived, bank));
+                        }
+                    } else {
+                        self.sleep_bank(bank, wake);
+                    }
                 }
             }
         }
@@ -644,7 +713,7 @@ impl MemoryController {
                 if self.read_q[bank].is_empty() && self.write_q[bank].is_empty() {
                     self.busy_banks.remove(bank);
                 }
-                self.bank_wake[bank] = 0;
+                self.clear_wake(bank);
                 let done = self.device.column(BankId(bank as u16), is_write, now);
                 if is_write {
                     self.stats.writes += 1;
@@ -658,40 +727,34 @@ impl MemoryController {
                         was_read: true,
                     });
                 }
-                return self.post_issue_bound(now, bank, contributors, wake_min);
+                return self.post_issue_bound(now, bank, contributors);
             }
         }
         if let Some((_, bank, row)) = act {
-            self.bank_wake[bank] = 0;
+            self.clear_wake(bank);
             self.device.activate(BankId(bank as u16), row, now);
             self.note_act(bank);
-            return self.post_issue_bound(now, bank, contributors, wake_min);
+            return self.post_issue_bound(now, bank, contributors);
         }
         if let Some((_, bank)) = pre {
-            self.bank_wake[bank] = 0;
+            self.clear_wake(bank);
             self.device.precharge(BankId(bank as u16), now);
-            return self.post_issue_bound(now, bank, contributors, wake_min);
+            return self.post_issue_bound(now, bank, contributors);
         }
         if best.is_some() {
             // A column candidate lost only to its own write-timing gate;
             // it stays schedulable, so the next cycle is live.
             return now + 1;
         }
-        wake_min
+        self.sleep_min
     }
 
     /// Event bound right after issuing a demand command to `bank`. With
     /// other candidate banks still issuable the very next cycle is live;
-    /// otherwise the issuing bank's own refreshed wake (or the other
-    /// blocked banks' minimum) bounds the gap. Always an underestimate
-    /// of the true next action, never an overshoot.
-    fn post_issue_bound(
-        &self,
-        now: Cycle,
-        bank: usize,
-        contributors: u32,
-        wake_min: Cycle,
-    ) -> Cycle {
+    /// otherwise the issuing bank's own refreshed wake (or `sleep_min`,
+    /// the asleep banks' lower bound) bounds the gap. Always an
+    /// underestimate of the true next action, never an overshoot.
+    fn post_issue_bound(&self, now: Cycle, bank: usize, contributors: u32) -> Cycle {
         if contributors > 1 {
             return now + 1;
         }
@@ -709,7 +772,7 @@ impl MemoryController {
                 None => self.device.next_activate_at(bid),
             }
         };
-        wake_min.min(own).max(now + 1)
+        self.sleep_min.min(own).max(now + 1)
     }
 }
 
@@ -982,23 +1045,19 @@ mod tests {
         assert!(mc.device().stats().refs >= 1, "rank-0 REF starved");
     }
 
-    #[test]
-    fn tick_returned_bound_never_overshoots() {
-        // The bound `tick` returns must cover every cycle until the next
-        // observable action: stepping cycle-by-cycle, any tick inside
-        // the last promised dead gap must change nothing.
-        let mut mc = controller(McConfig {
-            write_drain_high: 6,
-            write_drain_low: 2,
-            ..McConfig::default()
-        });
-        for i in 0..12u64 {
-            mc.enqueue(ReqKind::Read, addr_of(i * 257), i, 0).unwrap();
-        }
-        for i in 0..8u64 {
-            mc.enqueue(ReqKind::Write, addr_of(i * 131 + 7), 100 + i, 0)
-                .unwrap();
-        }
+    /// Tick `mc` on every cycle in `0..cycles`, enqueueing `arrivals`
+    /// (`(cycle, kind, line)`, sorted by cycle, retried while rejected)
+    /// as they come due. The bound `tick` returns must cover every cycle
+    /// until the next observable action: absent an enqueue, any tick
+    /// inside the last promised dead gap must change nothing. After
+    /// every tick the sleep set must hold only busy banks whose wake
+    /// hint still lies in the future.
+    fn assert_bound_never_overshoots(
+        mc: &mut MemoryController,
+        mapper: &AddressMapper,
+        arrivals: &[(Cycle, ReqKind, u64)],
+        cycles: Cycle,
+    ) {
         let snapshot = |mc: &MemoryController| {
             (
                 mc.device().stats().clone(),
@@ -1006,24 +1065,113 @@ mod tests {
                 mc.completions.len(),
             )
         };
-        let trefi = mc.device().cfg().timing.trefi;
+        let mut next = 0;
         let mut bound = 0;
-        for now in 0..3 * trefi {
-            let before = snapshot(&mc);
+        for now in 0..cycles {
+            while let Some(&(at, kind, line)) = arrivals.get(next) {
+                if at > now || mc.enqueue(kind, mapper.decode(line), line, now).is_none() {
+                    break;
+                }
+                next += 1;
+                // The promise assumed no enqueue in between.
+                bound = now;
+            }
+            let before = snapshot(mc);
             let ret = mc.tick(now);
             assert!(ret > now, "bound must advance");
             if now < bound {
                 assert_eq!(
-                    snapshot(&mc),
+                    snapshot(mc),
                     before,
                     "tick at {now} acted inside the promised dead gap to {bound}"
                 );
             }
             bound = ret;
+            for bank in mc.asleep.iter() {
+                assert!(
+                    mc.busy_banks.contains(bank),
+                    "idle bank {bank} asleep at {now}"
+                );
+                assert!(
+                    mc.bank_wake[bank] > now,
+                    "bank {bank} asleep at {now} past its wake {}",
+                    mc.bank_wake[bank]
+                );
+            }
         }
+        assert_eq!(next, arrivals.len(), "every arrival was accepted");
+    }
+
+    /// `n` arrivals spread over `span` cycles: reads and writes to
+    /// pseudo-random lines among `lines`, so rows conflict and hit.
+    fn arrivals(n: u64, span: Cycle, lines: u64) -> Vec<(Cycle, ReqKind, u64)> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let kind = if x.is_multiple_of(4) {
+                    ReqKind::Write
+                } else {
+                    ReqKind::Read
+                };
+                (i * span / n, kind, (x >> 8) % lines)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tick_returned_bound_never_overshoots() {
+        let mut mc = controller(McConfig {
+            write_drain_high: 6,
+            write_drain_low: 2,
+            ..McConfig::default()
+        });
+        let mapper = AddressMapper::new(&DramConfig::tiny_test(), MappingScheme::MopXor);
+        let mut burst: Vec<(Cycle, ReqKind, u64)> =
+            (0..12u64).map(|i| (0, ReqKind::Read, i * 257)).collect();
+        burst.extend((0..8u64).map(|i| (0, ReqKind::Write, i * 131 + 7)));
+        let trefi = mc.device().cfg().timing.trefi;
+        assert_bound_never_overshoots(&mut mc, &mapper, &burst, 3 * trefi);
         assert_eq!(mc.stats().reads, 12);
         assert_eq!(mc.stats().writes, 8);
         assert!(mc.device().stats().refs >= 2);
+    }
+
+    #[test]
+    fn tick_returned_bound_never_overshoots_across_two_ranks_refreshing() {
+        // Two ranks with staggered REF deadlines, and traffic arriving
+        // throughout: REF-pending ranks keep their banks out of the
+        // sweep while the other rank's banks sleep and wake.
+        let dram = DramConfig {
+            ranks: 2,
+            ..DramConfig::tiny_test()
+        };
+        let mapper = AddressMapper::new(&dram, MappingScheme::MopXor);
+        let mut mc = MemoryController::new(
+            McConfig::default(),
+            DramDevice::new(dram, |_| Box::new(NoMitigation)),
+        );
+        let trefi = mc.device().cfg().timing.trefi;
+        let traffic = arrivals(600, 5 * trefi, 4096);
+        assert_bound_never_overshoots(&mut mc, &mapper, &traffic, 6 * trefi);
+        assert!(mc.device().stats().refs >= 8, "both ranks refreshed");
+        assert_eq!(mc.stats().reads + mc.stats().writes, 600);
+    }
+
+    #[test]
+    fn tick_returned_bound_never_overshoots_with_periodic_rfm() {
+        let mut mc = controller(McConfig {
+            periodic_rfm_interval: Some(3),
+            ..McConfig::default()
+        });
+        let mapper = AddressMapper::new(&DramConfig::tiny_test(), MappingScheme::MopXor);
+        let trefi = mc.device().cfg().timing.trefi;
+        let traffic = arrivals(400, 3 * trefi, 4096);
+        assert_bound_never_overshoots(&mut mc, &mapper, &traffic, 4 * trefi);
+        assert!(mc.device().stats().rfm_pb > 0, "periodic RFMs issued");
+        assert_eq!(mc.stats().reads + mc.stats().writes, 400);
     }
 
     #[test]

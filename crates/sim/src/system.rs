@@ -89,6 +89,8 @@ struct MemSide {
     /// memory controller (a blocked channel must not head-of-line-block
     /// the others).
     pending_issue: Vec<VecDeque<PendingAccess>>,
+    /// Reused buffer for the load tokens a fill wakes.
+    woken: Vec<u64>,
     cpu_cycle: u64,
 }
 
@@ -220,6 +222,8 @@ pub struct System {
     /// One controller (device + trackers + queues) per channel.
     mcs: Vec<MemoryController>,
     cpu_cycle: u64,
+    /// `cpu_cycle % cores`, the core that ticks first this cycle.
+    first_core: usize,
     mem_cycle: u64,
     clock_acc: u64,
     /// Skip dead cycles (see the module docs); identical results either
@@ -325,10 +329,12 @@ impl System {
                 mapper,
                 ready: BinaryHeap::new(),
                 pending_issue: (0..channels).map(|_| VecDeque::new()).collect(),
+                woken: Vec::new(),
                 cpu_cycle: 0,
             },
             mcs,
             cpu_cycle: 0,
+            first_core: 0,
             mem_cycle: 0,
             clock_acc: 0,
             fast_forward: fast_forward_default(),
@@ -365,6 +371,11 @@ impl System {
     fn step(&mut self) {
         self.cpu_cycle += 1;
         self.mem.cpu_cycle = self.cpu_cycle;
+        let n = self.cores.len();
+        self.first_core += 1;
+        if self.first_core == n {
+            self.first_core = 0;
+        }
 
         // Deliver due load completions.
         while let Some(&Reverse((due, token))) = self.mem.ready.peek() {
@@ -379,10 +390,8 @@ impl System {
         // Core ticks, in rotating order: shared-resource arbitration
         // (LLC MSHRs, controller queues) must not systematically favor
         // lower-numbered cores, or heavy workloads starve the last core.
-        let n = self.cores.len();
-        let start = (self.cpu_cycle as usize) % n;
-        for k in 0..n {
-            let i = (start + k) % n;
+        let start = self.first_core;
+        for i in (start..n).chain(0..start) {
             if self.fast_forward && self.cores[i].stalled_on_memory() {
                 // A provably stalled tick is a no-op apart from the cycle
                 // counters; eliding it keeps results bit-exact (no
@@ -425,19 +434,20 @@ impl System {
             if !self.mcs[ch].has_completions() {
                 continue;
             }
+            let mem = &mut self.mem;
             for done in self.mcs[ch].drain_completions() {
                 if !done.was_read {
                     continue;
                 }
-                let out = self.mem.llc.fill(done.tag);
-                for token in out.waiters {
-                    let due = self.cpu_cycle + FILL_TO_USE;
-                    self.mem.ready.push(Reverse((due, token)));
+                let writeback = mem.llc.fill_into(done.tag, &mut mem.woken);
+                let due = self.cpu_cycle + FILL_TO_USE;
+                for token in mem.woken.drain(..) {
+                    mem.ready.push(Reverse((due, token)));
                 }
-                if let Some(victim) = out.writeback {
+                if let Some(victim) = writeback {
                     // The victim decodes independently; it may target
                     // any channel, not necessarily this one.
-                    self.mem.queue_access(victim, true);
+                    mem.queue_access(victim, true);
                 }
             }
         }
@@ -499,6 +509,7 @@ impl System {
         self.ff_skipped += skip;
         self.ff_jumps += 1;
         self.cpu_cycle += skip;
+        self.first_core = (self.cpu_cycle % self.cores.len() as u64) as usize;
         for core in &mut self.cores {
             core.skip_stalled_cycles(skip);
         }
