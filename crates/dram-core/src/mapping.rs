@@ -26,6 +26,19 @@
 use crate::config::DramConfig;
 use crate::types::{BankCoord, DramAddr, RowId};
 
+/// Split `x` into its lowest base-`n` digit and the digits above it.
+/// The digit counts of every shipped geometry are powers of two, where
+/// this is a mask and a shift instead of two 64-bit divisions (decoding
+/// runs once per LLC miss and writeback).
+#[inline]
+fn split_digit(x: u64, n: u64) -> (u64, u64) {
+    if n.is_power_of_two() {
+        (x & (n - 1), x >> n.trailing_zeros())
+    } else {
+        (x % n, x / n)
+    }
+}
+
 /// Address interleaving scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingScheme {
@@ -85,6 +98,11 @@ impl AddressMapper {
             * self.cols as u64
     }
 
+    /// `line` wrapped into the addressable range (`line % num_lines()`).
+    pub fn wrap(&self, line: u64) -> u64 {
+        split_digit(line, self.num_lines()).0
+    }
+
     /// Decode a line address (byte address / 64) into DRAM coordinates.
     ///
     /// # Panics
@@ -109,27 +127,20 @@ impl AddressMapper {
     }
 
     fn decode_row_major(&self, line: u64) -> DramAddr {
-        let mut x = line;
-        let col = (x % self.cols as u64) as u16;
-        x /= self.cols as u64;
-        let channel = (x % self.channels as u64) as u8;
-        x /= self.channels as u64;
-        let bank = (x % self.banks as u64) as u8;
-        x /= self.banks as u64;
-        let group = (x % self.groups as u64) as u8;
-        x /= self.groups as u64;
-        let rank = (x % self.ranks as u64) as u8;
-        x /= self.ranks as u64;
-        let row = x as u32;
+        let (col, x) = split_digit(line, self.cols as u64);
+        let (channel, x) = split_digit(x, self.channels as u64);
+        let (bank, x) = split_digit(x, self.banks as u64);
+        let (group, x) = split_digit(x, self.groups as u64);
+        let (rank, row) = split_digit(x, self.ranks as u64);
         DramAddr {
-            channel,
+            channel: channel as u8,
             coord: BankCoord {
-                rank,
-                bank_group: group,
-                bank,
+                rank: rank as u8,
+                bank_group: group as u8,
+                bank: bank as u8,
             },
-            row: RowId(row),
-            col,
+            row: RowId(row as u32),
+            col: col as u16,
         }
     }
 
@@ -147,36 +158,26 @@ impl AddressMapper {
     /// [row]`, with the channel and bank-group digits XOR-folded with
     /// low row bits.
     fn decode_mop(&self, line: u64) -> DramAddr {
-        let mut x = line;
-        let col_lo = (x % self.mop as u64) as u32;
-        x /= self.mop as u64;
-        let channel_raw = (x % self.channels as u64) as u32;
-        x /= self.channels as u64;
-        let group_raw = (x % self.groups as u64) as u32;
-        x /= self.groups as u64;
-        let bank = (x % self.banks as u64) as u8;
-        x /= self.banks as u64;
-        let rank = (x % self.ranks as u64) as u8;
-        x /= self.ranks as u64;
-        let col_hi_digits = (self.cols / self.mop) as u64;
-        let col_hi = (x % col_hi_digits) as u32;
-        x /= col_hi_digits;
-        let row = x as u32;
+        let (col_lo, x) = split_digit(line, self.mop as u64);
+        let (channel_raw, x) = split_digit(x, self.channels as u64);
+        let (group_raw, x) = split_digit(x, self.groups as u64);
+        let (bank, x) = split_digit(x, self.banks as u64);
+        let (rank, x) = split_digit(x, self.ranks as u64);
+        let (col_hi, row) = split_digit(x, (self.cols / self.mop) as u64);
         // XOR-fold low row bits into the bank group (and the channel,
         // when there is more than one) to decorrelate row-conflicts from
         // stride patterns (self-inverse, so encode uses the same folds;
         // both digit counts are powers of two, keeping the fold closed).
-        let group = (group_raw ^ (row % self.groups)) % self.groups;
-        let channel = (channel_raw ^ (row % self.channels)) % self.channels;
+        let fold = |raw: u64, n: u32| split_digit(raw ^ split_digit(row, n as u64).0, n as u64).0;
         DramAddr {
-            channel: channel as u8,
+            channel: fold(channel_raw, self.channels) as u8,
             coord: BankCoord {
-                rank,
-                bank_group: group as u8,
-                bank,
+                rank: rank as u8,
+                bank_group: fold(group_raw, self.groups) as u8,
+                bank: bank as u8,
             },
-            row: RowId(row),
-            col: (col_hi * self.mop + col_lo) as u16,
+            row: RowId(row as u32),
+            col: (col_hi * self.mop as u64 + col_lo) as u16,
         }
     }
 

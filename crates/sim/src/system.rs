@@ -96,7 +96,7 @@ struct MemSide {
 
 impl MemSide {
     fn queue_access(&mut self, line: u64, write: bool) {
-        let addr = self.mapper.decode(line % self.mapper.num_lines());
+        let addr = self.mapper.decode(self.mapper.wrap(line));
         self.pending_issue[addr.channel as usize].push_back(PendingAccess { addr, line, write });
     }
 
