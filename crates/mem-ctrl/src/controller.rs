@@ -482,10 +482,10 @@ impl MemoryController {
     /// Ranks whose REF deadline passed but which cannot make progress
     /// this cycle (open banks still settling through tRAS/tRTP/tWR, or
     /// the rank blocked by a REF/RFM) no longer burn the whole command
-    /// slot; their banks are marked in `ref_blocked` — which bars FR-FCFS from
-    /// issuing new ACTs or column commands to them, so they drain
-    /// monotonically toward the REF — while demand on other ranks keeps
-    /// flowing.
+    /// slot; their banks are marked in `ref_blocked` — which bars
+    /// FR-FCFS from issuing new ACTs or column commands to them, so they
+    /// drain monotonically toward the REF — while demand on other ranks
+    /// keeps flowing.
     fn service_refresh(&mut self, now: Cycle) -> bool {
         if now < self.ref_next_due {
             // No rank is overdue; the last REF left `ref_blocked` empty.
