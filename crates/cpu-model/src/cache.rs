@@ -118,7 +118,8 @@ pub struct Llc {
     /// Way tags, set `s` at `tags[base + s * ways ..][..ways]`, stored as
     /// `tag + 1` so that 0 marks an invalid way. `base` aligns the array
     /// to 64 bytes, so an 8-way set is exactly one host cache line (the
-    /// hit scan touches nothing else).
+    /// hit scan touches nothing else). A clone keeps `base`, so it may
+    /// lose the alignment but never a result.
     tags: Vec<u64>,
     base: usize,
     /// Per-way dirty bit and LRU age, indexed like `tags` minus `base`.
