@@ -6,6 +6,14 @@
 //! which exercises the work pool, the baseline dedupe and the
 //! `RunKey` normalization of unmitigated cells).
 //!
+//! The `*_matches_snapshot` goldens pin the remaining emitter shapes,
+//! captured from the hand-written emitters before figures returned
+//! tables: per-workload rows plus geomean/mean rows (fig14_15),
+//! bandwidth-attack cells (fig19), an engine column beside an analytic
+//! column (fig23), a text-valued table (table02), mix cells
+//! (mix_speedup) and the registry-driven arena summary
+//! (compare_summary).
+//!
 //! `run_all` runs as a subprocess with a pinned environment
 //! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
 //! snapshots are reproducible and the test never mutates this process'
@@ -68,6 +76,54 @@ fn table04_matches_pre_refactor_snapshot() {
 #[test]
 fn fig18_matches_pre_refactor_snapshot() {
     run_and_compare("fig18", &[("fig18", include_str!("golden/fig18.csv"))]);
+}
+
+#[test]
+fn fig14_15_matches_snapshot() {
+    run_and_compare(
+        "fig14_15",
+        &[
+            ("fig14", include_str!("golden/fig14.csv")),
+            ("fig15", include_str!("golden/fig15.csv")),
+        ],
+    );
+}
+
+#[test]
+fn fig19_matches_snapshot() {
+    run_and_compare("fig19", &[("fig19", include_str!("golden/fig19.csv"))]);
+}
+
+#[test]
+fn fig23_matches_snapshot() {
+    run_and_compare("fig23", &[("fig23", include_str!("golden/fig23.csv"))]);
+}
+
+#[test]
+fn table02_matches_snapshot() {
+    run_and_compare(
+        "table02",
+        &[("table02", include_str!("golden/table02.csv"))],
+    );
+}
+
+#[test]
+fn mix_speedup_matches_snapshot() {
+    run_and_compare(
+        "mix_speedup",
+        &[("mix_speedup", include_str!("golden/mix_speedup.csv"))],
+    );
+}
+
+#[test]
+fn compare_summary_matches_snapshot() {
+    run_and_compare(
+        "compare_mitigations",
+        &[(
+            "compare_summary",
+            include_str!("golden/compare_summary.csv"),
+        )],
+    );
 }
 
 /// Canonical-key fidelity through the registry refactor: the exact key
