@@ -1,47 +1,115 @@
-//! Minimal CSV writer used by the spec emitters (no external
-//! serialization crates needed).
+//! The one output type of every figure: a [`Table`] is plain data that
+//! the runner writes twice from the same strings — as `<name>.csv`
+//! under the results directory and as a column-aligned block on stdout
+//! with its note underneath — so every figure run is self-describing
+//! and no emitter formats its own output.
 
-use std::fs::{self, File};
+use std::fmt::Write as _;
+use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Writes simple CSV files under a results directory and mirrors every
-/// row to stdout so every figure run is self-describing.
-#[derive(Debug)]
-pub struct CsvWriter {
-    path: PathBuf,
-    file: File,
+/// One CSV file of a figure and its stdout rendering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table {
+    /// The CSV stem: the table is written to `<name>.csv`.
+    pub name: String,
+    /// The heading printed above the table on stdout.
+    pub title: String,
+    /// Column names: the CSV's first line and the printed header.
+    pub header: Vec<String>,
+    /// Rows of `Display`-formatted values, one string per column.
+    pub rows: Vec<Vec<String>>,
+    /// Text printed under the table (the paper's reported values or a
+    /// reading of the numbers); empty for none.
+    pub note: String,
 }
 
-impl CsvWriter {
-    /// Create `results/<name>.csv` relative to the workspace root (or to
-    /// `QPRAC_RESULTS_DIR` when set), writing the given header row.
-    pub fn create(name: &str, header: &[&str]) -> io::Result<Self> {
-        let dir = std::env::var("QPRAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-        Self::create_in(Path::new(&dir), name, header)
+impl Table {
+    /// An empty table with the given CSV stem, title and header.
+    pub fn new(name: impl Into<String>, title: impl Into<String>, header: &[&str]) -> Table {
+        Table {
+            name: name.into(),
+            title: title.into(),
+            header: header.iter().map(|h| h.to_string()).collect(),
+            rows: Vec::new(),
+            note: String::new(),
+        }
     }
 
-    /// Create `<dir>/<name>.csv`, writing the given header row. The
-    /// explicit-directory form exists so tests can write to a temp dir
-    /// without mutating `QPRAC_RESULTS_DIR` (process environment is
-    /// shared across `cargo test` threads).
-    pub fn create_in(dir: &Path, name: &str, header: &[&str]) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut file = File::create(&path)?;
-        writeln!(file, "{}", header.join(","))?;
-        Ok(CsvWriter { path, file })
+    /// The same table with `note` printed under it.
+    pub fn with_note(mut self, note: impl Into<String>) -> Table {
+        self.note = note.into();
+        self
     }
 
-    /// Append one row (values are `Display`-formatted by the caller).
-    pub fn row(&mut self, values: &[String]) -> io::Result<()> {
-        writeln!(self.file, "{}", values.join(","))
+    /// The CSV text: the header, then one line per row, fields joined
+    /// by commas as given (no quoting).
+    pub fn csv(&self) -> String {
+        let mut out = String::new();
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            for (i, v) in line.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(v);
+            }
+            out.push('\n');
+        }
+        out
     }
 
-    /// The file path being written.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The stdout rendering: the title, the header and rows in aligned
+    /// columns (right-aligned where every row holds a number), the note
+    /// and a blank line.
+    pub fn render(&self) -> String {
+        let lines = || std::iter::once(&self.header).chain(&self.rows);
+        let cols = lines().map(Vec::len).max().unwrap_or(0);
+        let width = |c: usize| {
+            lines()
+                .filter_map(|l| l.get(c))
+                .map(|v| v.chars().count())
+                .max()
+                .unwrap_or(0)
+        };
+        let numeric = |c: usize| {
+            self.rows
+                .iter()
+                .filter_map(|r| r.get(c))
+                .all(|v| v.parse::<f64>().is_ok())
+        };
+        let layout: Vec<(usize, bool)> = (0..cols).map(|c| (width(c), numeric(c))).collect();
+        let mut out = format!("{}\n", self.title);
+        for line in lines() {
+            for (v, &(w, right)) in line.iter().zip(&layout) {
+                let _ = if right {
+                    write!(out, "{v:>w$}  ")
+                } else {
+                    write!(out, "{v:<w$}  ")
+                };
+            }
+            out.truncate(out.trim_end_matches(' ').len());
+            out.push('\n');
+        }
+        if !self.note.is_empty() {
+            out.push_str(&self.note);
+            out.push('\n');
+        }
+        out.push('\n');
+        out
     }
+}
+
+/// Write every table to `<dir>/<name>.csv` (creating `dir`) and print
+/// its rendering to stdout, one write per file and one per table.
+pub fn write_tables(tables: &[Table], dir: &Path) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let mut stdout = io::stdout().lock();
+    for t in tables {
+        fs::write(dir.join(format!("{}.csv", t.name)), t.csv())?;
+        stdout.write_all(t.render().as_bytes())?;
+    }
+    stdout.flush()
 }
 
 /// Format a float with fixed precision for CSV/console output.
@@ -53,19 +121,24 @@ pub fn f(v: f64) -> String {
 mod tests {
     use super::*;
 
+    fn sample() -> Table {
+        let mut t = Table::new("unit", "Unit table", &["name", "value"]);
+        t.rows.push(vec!["a".into(), "1.5".into()]);
+        t.rows.push(vec!["long name".into(), "10".into()]);
+        t.with_note("(note)")
+    }
+
+    #[test]
+    fn render_aligns_text_left_and_numbers_right() {
+        assert_eq!(
+            sample().render(),
+            "Unit table\nname       value\na            1.5\nlong name     10\n(note)\n\n"
+        );
+    }
+
     #[test]
     fn writes_header_and_rows() {
-        // `create_in` keeps the test off `QPRAC_RESULTS_DIR`: mutating
-        // process env here raced against any concurrently running test
-        // (or figure-binary smoke child) reading it.
-        let dir = std::env::temp_dir().join(format!("qprac-csv-test-{}", std::process::id()));
-        let mut w = CsvWriter::create_in(&dir, "unit", &["a", "b"]).unwrap();
-        w.row(&["1".into(), "2".into()]).unwrap();
-        assert_eq!(w.path(), dir.join("unit.csv"));
-        drop(w);
-        let text = std::fs::read_to_string(dir.join("unit.csv")).unwrap();
-        assert_eq!(text, "a,b\n1,2\n");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sample().csv(), "name,value\na,1.5\nlong name,10\n");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dram_core::RowId;
 use qprac::Psq;
 use sim::{MitigationKind, SystemConfig};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::{ExperimentSpec, Job};
 
 /// Ablation 1: wave-attack ceiling vs PSQ size for each PRAC level.
@@ -35,29 +35,19 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
         .map(|&(nmit, size)| cell(nmit, size).into())
         .collect();
     ExperimentSpec::new("ablation_psq_size", jobs, move |r| {
-        println!("Ablation: wave-attack ceiling vs PSQ size (paper §III-E sizing rule)");
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "ablation_psq_size",
+            "Ablation: wave-attack ceiling vs PSQ size (paper §III-E sizing rule)",
             &["nmit", "psq_size", "max_unmitigated"],
-        )?;
-        println!("{:>5} {:>9} {:>17}", "nmit", "psq_size", "max unmitigated");
+        );
         for &(nmit, size) in &grid {
             let max = r.engine(cell(nmit, size));
-            let compliant = size >= nmit as usize;
-            println!(
-                "{nmit:>5} {size:>9} {max:>17}{}",
-                if compliant {
-                    ""
-                } else {
-                    "   (undersized: < N_mit)"
-                }
-            );
-            w.row(&[nmit.to_string(), size.to_string(), max.to_string()])?;
+            t.rows
+                .push(vec![nmit.to_string(), size.to_string(), max.to_string()]);
         }
-        println!(
-            "(sizes >= N_mit track the ideal-PRAC ceiling; the default 5 covers PRAC-4 + proactive)\n"
-        );
-        Ok(())
+        vec![t.with_note(
+            "(sizes >= N_mit track the ideal-PRAC ceiling; the default 5 covers PRAC-4 + proactive)",
+        )]
     })
 }
 
@@ -86,9 +76,9 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
         }
     }
     ExperimentSpec::new("ablation_opportunistic", jobs, move |r| {
-        println!("Ablation: opportunistic mitigation on/off (QPRAC vs QPRAC-NoOp)");
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "ablation_opportunistic",
+            "Ablation: opportunistic mitigation on/off (QPRAC vs QPRAC-NoOp)",
             &[
                 "nbo",
                 "noop_alerts_per_trefi",
@@ -96,10 +86,6 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 "noop_perf",
                 "qprac_perf",
             ],
-        )?;
-        println!(
-            "{:>6} {:>12} {:>13} {:>10} {:>11}",
-            "N_BO", "NoOp alerts", "QPRAC alerts", "NoOp perf", "QPRAC perf"
         );
         for &nbo in &nbos {
             let runs: Vec<(f64, f64, f64, f64)> = workloads
@@ -120,11 +106,10 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
             let avg = |g: fn(&(f64, f64, f64, f64)) -> f64| runs.iter().map(g).sum::<f64>() / n;
             let (na, qa) = (avg(|r| r.0), avg(|r| r.1));
             let (np, qp) = (avg(|r| r.2), avg(|r| r.3));
-            println!("{nbo:>6} {na:>12.3} {qa:>13.3} {np:>10.3} {qp:>11.3}");
-            w.row(&[nbo.to_string(), f(na), f(qa), f(np), f(qp)])?;
+            t.rows
+                .push(vec![nbo.to_string(), f(na), f(qa), f(np), f(qp)]);
         }
-        println!("(the single opportunistic bit buys ~10x fewer alerts — §VI-A)\n");
-        Ok(())
+        vec![t.with_note("(the single opportunistic bit buys ~10x fewer alerts — §VI-A)")]
     })
 }
 
@@ -134,9 +119,9 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
 /// tracking the same maxima. Pure PSQ arithmetic — no cells.
 pub fn insertion_tie_policy_spec() -> ExperimentSpec {
     ExperimentSpec::new("ablation_tie_policy", Vec::new(), |_| {
-        println!("Ablation: PSQ insertion on count ties (strict '>' is the paper's rule)");
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "ablation_tie_policy",
+            "Ablation: PSQ insertion on count ties (strict '>' is the paper's rule)",
             &[
                 "rows",
                 "strict_max",
@@ -144,10 +129,6 @@ pub fn insertion_tie_policy_spec() -> ExperimentSpec {
                 "strict_writes",
                 "tie_writes",
             ],
-        )?;
-        println!(
-            "{:>6} {:>11} {:>15} {:>14} {:>11}",
-            "rows", "strict max", "tie-insert max", "strict writes", "tie writes"
         );
         for distinct_rows in [8u32, 32, 128] {
             // Uniform round-robin: every row always has the same count — the
@@ -172,19 +153,19 @@ pub fn insertion_tie_policy_spec() -> ExperimentSpec {
                 }
             }
             let (sm, tm) = (strict.max_count(), tie.max_count().saturating_sub(1));
-            println!("{distinct_rows:>6} {sm:>11} {tm:>15} {strict_writes:>14} {tie_writes:>11}");
-            w.row(&[
+            t.rows.push(vec![
                 distinct_rows.to_string(),
                 sm.to_string(),
                 tm.to_string(),
                 strict_writes.to_string(),
                 tie_writes.to_string(),
-            ])?;
+            ]);
         }
-        println!("(both policies track the same maximum; under round-robin traffic the");
-        println!(" write counts also match because in-place hit updates dominate — the");
-        println!(" strict rule is therefore free, and it never displaces a tracked max)\n");
-        Ok(())
+        vec![t.with_note(
+            "(both policies track the same maximum; under round-robin traffic the\n \
+             write counts also match because in-place hit updates dominate — the\n \
+             strict rule is therefore free, and it never displaces a tracked max)",
+        )]
     })
 }
 

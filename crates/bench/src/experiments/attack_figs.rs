@@ -4,7 +4,7 @@
 use dram_core::RfmKind;
 use sim::{MitigationKind, SystemConfig};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::{ExperimentSpec, Job};
 
 /// Attack window in memory cycles (125 µs at 3200 MHz — long enough for
@@ -68,19 +68,20 @@ pub fn fig19_spec() -> ExperimentSpec {
         }
     }
     ExperimentSpec::new("fig19", jobs, move |r| {
-        println!("Fig 19: activation-bandwidth reduction under multi-bank attack");
-        let mut w = CsvWriter::create("fig19", &["nbo", "variant", "bw_reduction_pct"])?;
-        println!("{:>6} {:<26} {:>14}", "N_BO", "variant", "BW reduction");
+        let mut t = Table::new(
+            "fig19",
+            "Fig 19: activation-bandwidth reduction under multi-bank attack",
+            &["nbo", "variant", "bw_reduction_pct"],
+        );
         for &nbo in &nbos {
             let base = r.attack(&base_cfg(nbo), ATTACK_BANKS, window);
             for &(label, kind, rfm) in &variants {
                 let s = r.attack(&variant_cfg(nbo, kind, rfm), ATTACK_BANKS, window);
                 let red = s.reduction_vs(base);
-                println!("{nbo:>6} {label:<26} {:>13.1}%", red * 100.0);
-                w.row(&[nbo.to_string(), label.to_string(), f(red * 100.0)])?;
+                t.rows
+                    .push(vec![nbo.to_string(), label.to_string(), f(red * 100.0)]);
             }
         }
-        println!("(paper: RFMab 62-93% loss; proactive rescues N_BO>=64; RFMpb 15-27%)\n");
-        Ok(())
+        vec![t.with_note("(paper: RFMab 62-93% loss; proactive rescues N_BO>=64; RFMpb 15-27%)")]
     })
 }

@@ -19,7 +19,7 @@ use cpu_model::WorkloadSpec;
 use mitigations::TrackerParams;
 use sim::{geomean, MitigationKind, SystemConfig};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::{ExperimentSpec, Job};
 
 /// CSV-safe file stem for a design (`@` never appears in stems today,
@@ -33,23 +33,26 @@ fn file_stem(stem: &str) -> String {
 pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let workloads = workloads.to_vec();
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
+    let designs: Vec<_> = mitigations::registry()
+        .iter()
+        .map(|spec| {
+            let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
+            (spec, cfg)
+        })
+        .collect();
     let mut jobs = Vec::new();
     for w in &workloads {
-        for spec in mitigations::registry() {
+        for (_, cfg) in &designs {
             jobs.push(Job::Workload {
-                cfg: SystemConfig::paper_default().with_mitigation(spec.default_kind),
+                cfg: cfg.clone(),
                 workload: w.clone(),
             });
         }
     }
     ExperimentSpec::new("compare_mitigations", jobs, move |r| {
-        println!("Mitigation arena: every registered design vs the shared insecure baseline");
-        println!(
-            "{:<14} {:>9} {:>11} {:>10} {:>12} {:>9}",
-            "design", "geomean", "slowdown%", "bits/bank", "secure_trh", "tax%"
-        );
-        let mut summary = CsvWriter::create(
+        let mut summary = Table::new(
             "compare_summary",
+            "Mitigation arena: every registered design vs the shared insecure baseline",
             &[
                 "design",
                 "label",
@@ -60,11 +63,12 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 "geomean_perf",
                 "geomean_slowdown_pct",
             ],
-        )?;
-        for spec in mitigations::registry() {
-            let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
-            let mut per_design = CsvWriter::create(
-                &format!("compare_{}", file_stem(spec.stem)),
+        );
+        let mut tables = Vec::new();
+        for (spec, cfg) in &designs {
+            let mut per_design = Table::new(
+                format!("compare_{}", file_stem(spec.stem)),
+                format!("Mitigation arena: {} per workload", spec.label),
                 &[
                     "workload",
                     "rbmpki",
@@ -72,21 +76,22 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                     "slowdown_pct",
                     "alerts_per_trefi",
                 ],
-            )?;
+            );
             let mut perfs = Vec::new();
             for w in &workloads {
                 let base = r.stats(&base_cfg, w);
-                let s = r.stats(&cfg, w);
+                let s = r.stats(cfg, w);
                 let perf = s.normalized_perf(base);
                 perfs.push(perf);
-                per_design.row(&[
+                per_design.rows.push(vec![
                     w.name.to_string(),
                     f(base.rbmpki()),
                     f(perf),
                     f((1.0 - perf) * 100.0),
                     f(s.alerts_per_trefi()),
-                ])?;
+                ]);
             }
+            tables.push(per_design);
             let gm = geomean(perfs.iter().copied());
             let params = TrackerParams::paper_default(spec.default_kind);
             let sec = (spec.security)(&params);
@@ -94,16 +99,7 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 .secure_trh
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "none".into());
-            println!(
-                "{:<14} {:>9.4} {:>11.2} {:>10} {:>12} {:>9.2}",
-                spec.stem,
-                gm,
-                (1.0 - gm) * 100.0,
-                spec.storage_bits(&params),
-                trh,
-                sec.trefi_tax_pct,
-            );
-            summary.row(&[
+            summary.rows.push(vec![
                 spec.stem.to_string(),
                 spec.label.to_string(),
                 spec.paper.to_string(),
@@ -112,8 +108,9 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 f(sec.trefi_tax_pct),
                 f(gm),
                 f((1.0 - gm) * 100.0),
-            ])?;
+            ]);
         }
-        Ok(())
+        tables.push(summary);
+        tables
     })
 }

@@ -12,7 +12,7 @@
 use cpu_model::mixes8;
 use sim::{MitigationKind, RunStats, SystemConfig};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::{ExperimentSpec, Job};
 
 /// Channel counts the mix sweep covers.
@@ -80,14 +80,9 @@ pub fn mix_speedup_spec() -> ExperimentSpec {
         }
     }
     ExperimentSpec::new("mix_speedup", jobs, move |r| {
-        println!("Mix experiment: weighted speedup + alerts/tREFI for 8 heterogeneous mixes");
-        println!(
-            "({} channel counts x {} mitigations; alone-IPC baselines are 1-core unmitigated runs)\n",
-            MIX_CHANNELS.len(),
-            MIX_KINDS.len()
-        );
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "mix_speedup",
+            "Mix experiment: weighted speedup + alerts/tREFI for 8 heterogeneous mixes",
             &[
                 "mix",
                 "channels",
@@ -96,10 +91,6 @@ pub fn mix_speedup_spec() -> ExperimentSpec {
                 "alerts_per_trefi",
                 "max_channel_alert_share",
             ],
-        )?;
-        println!(
-            "{:<24} {:>3} {:<20} {:>8} {:>12} {:>10}",
-            "mix", "ch", "mitigation", "ws", "alerts/tREFI", "skew"
         );
         for mix in &mixes {
             for channels in MIX_CHANNELS {
@@ -115,29 +106,21 @@ pub fn mix_speedup_spec() -> ExperimentSpec {
                             r.stats(&alone_cfg(channels), &spec).core_ipc[0]
                         })
                         .collect();
-                    let row = (
+                    t.rows.push(vec![
                         mix.name.to_string(),
-                        cfg.mitigation_label(),
-                        s.weighted_speedup(&alone_ipc),
-                        s.alerts_per_trefi(),
-                        alert_skew(s),
-                    );
-                    println!(
-                        "{:<24} {:>3} {:<20} {:>8.3} {:>12.4} {:>10.3}",
-                        row.0, channels, row.1, row.2, row.3, row.4
-                    );
-                    w.row(&[
-                        row.0.clone(),
                         channels.to_string(),
-                        row.1.to_string(),
-                        f(row.2),
-                        f(row.3),
-                        f(row.4),
-                    ])?;
+                        cfg.mitigation_label().to_string(),
+                        f(s.weighted_speedup(&alone_ipc)),
+                        f(s.alerts_per_trefi()),
+                        f(alert_skew(s)),
+                    ]);
                 }
             }
         }
-        println!("\nWritten to {}", w.path().display());
-        Ok(())
+        vec![t.with_note(format!(
+            "({} channel counts x {} mitigations; alone-IPC baselines are 1-core unmitigated runs)",
+            MIX_CHANNELS.len(),
+            MIX_KINDS.len()
+        ))]
     })
 }

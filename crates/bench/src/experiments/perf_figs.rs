@@ -7,7 +7,7 @@
 use cpu_model::WorkloadSpec;
 use sim::{geomean, MitigationKind, SystemConfig};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::{ExperimentSpec, Job};
 
 /// The five evaluated QPRAC designs of Fig 14/15, in paper order.
@@ -24,15 +24,15 @@ pub const FIG14_CONFIGS: [MitigationKind; 5] = [
 pub fn fig14_15_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let workloads = workloads.to_vec();
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
+    let configs: Vec<SystemConfig> = FIG14_CONFIGS
+        .iter()
+        .map(|&kind| SystemConfig::paper_default().with_mitigation(kind))
+        .collect();
     let mut jobs = Vec::new();
     for spec in &workloads {
-        jobs.push(Job::Workload {
-            cfg: base_cfg.clone(),
-            workload: spec.clone(),
-        });
-        for kind in FIG14_CONFIGS {
+        for cfg in std::iter::once(&base_cfg).chain(&configs) {
             jobs.push(Job::Workload {
-                cfg: SystemConfig::paper_default().with_mitigation(kind),
+                cfg: cfg.clone(),
                 workload: spec.clone(),
             });
         }
@@ -48,92 +48,64 @@ pub fn fig14_15_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
             .iter()
             .map(|spec| {
                 let base = r.stats(&base_cfg, spec);
-                let mut perf = Vec::new();
-                let mut alerts = Vec::new();
-                for kind in FIG14_CONFIGS {
-                    let cfg = SystemConfig::paper_default().with_mitigation(kind);
-                    let s = r.stats(&cfg, spec);
-                    perf.push(s.normalized_perf(base));
-                    alerts.push(s.alerts_per_trefi());
-                }
+                let runs: Vec<_> = configs.iter().map(|cfg| r.stats(cfg, spec)).collect();
                 Row {
                     workload: spec.name.to_string(),
                     rbmpki: base.rbmpki(),
-                    perf,
-                    alerts,
+                    perf: runs.iter().map(|s| s.normalized_perf(base)).collect(),
+                    alerts: runs.iter().map(|s| s.alerts_per_trefi()).collect(),
                 }
             })
             .collect();
-        let mut w14 = CsvWriter::create(
+        let header = [
+            "workload",
+            "rbmpki",
+            "noop",
+            "qprac",
+            "proactive",
+            "proactive_ea",
+            "ideal",
+        ];
+        let mut fig14 = Table::new(
             "fig14",
-            &[
-                "workload",
-                "rbmpki",
-                "noop",
-                "qprac",
-                "proactive",
-                "proactive_ea",
-                "ideal",
-            ],
-        )?;
-        let mut w15 = CsvWriter::create(
-            "fig15",
-            &[
-                "workload",
-                "rbmpki",
-                "noop",
-                "qprac",
-                "proactive",
-                "proactive_ea",
-                "ideal",
-            ],
-        )?;
-        println!("Fig 14: normalized performance (N_BO=32, PRAC-1) vs insecure baseline");
-        println!(
-            "{:<28} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-            "workload", "rbmpki", "NoOp", "QPRAC", "+Pro", "+ProEA", "Ideal"
+            "Fig 14: normalized performance (N_BO=32, PRAC-1) vs insecure baseline",
+            &header,
         );
+        let mut fig15 = Table::new(
+            "fig15",
+            "Fig 15: alerts per tREFI (same runs as Fig 14)",
+            &header,
+        );
+        let push = |t: &mut Table, label: String, first: String, values: &[f64]| {
+            let mut row = vec![label, first];
+            row.extend(values.iter().map(|v| f(*v)));
+            t.rows.push(row);
+        };
         for r in &rows {
-            println!(
-                "{:<28} {:>7.1} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-                r.workload, r.rbmpki, r.perf[0], r.perf[1], r.perf[2], r.perf[3], r.perf[4]
-            );
-            let mut row = vec![r.workload.clone(), f(r.rbmpki)];
-            row.extend(r.perf.iter().map(|v| f(*v)));
-            w14.row(&row)?;
-            let mut row = vec![r.workload.clone(), f(r.rbmpki)];
-            row.extend(r.alerts.iter().map(|v| f(*v)));
-            w15.row(&row)?;
+            push(&mut fig14, r.workload.clone(), f(r.rbmpki), &r.perf);
+            push(&mut fig15, r.workload.clone(), f(r.rbmpki), &r.alerts);
         }
         // Geomean rows: all workloads and the memory-intensive subset.
         for (label, filt) in [("geomean(all)", 0.0), ("geomean(rbmpki>=2)", 2.0)] {
             let sel: Vec<&Row> = rows.iter().filter(|r| r.rbmpki >= filt).collect();
-            let gm: Vec<f64> = (0..FIG14_CONFIGS.len())
+            let gm: Vec<f64> = (0..configs.len())
                 .map(|c| geomean(sel.iter().map(|r| r.perf[c])))
                 .collect();
-            println!(
-                "{label:<28} {:>7} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-                sel.len(),
-                gm[0],
-                gm[1],
-                gm[2],
-                gm[3],
-                gm[4]
-            );
-            let mut row = vec![label.to_string(), sel.len().to_string()];
-            row.extend(gm.iter().map(|v| f(*v)));
-            w14.row(&row)?;
-            let am: Vec<f64> = (0..FIG14_CONFIGS.len())
+            push(&mut fig14, label.to_string(), sel.len().to_string(), &gm);
+            let am: Vec<f64> = (0..configs.len())
                 .map(|c| sel.iter().map(|r| r.alerts[c]).sum::<f64>() / sel.len().max(1) as f64)
                 .collect();
-            let mut row = vec![format!("mean({label})"), sel.len().to_string()];
-            row.extend(am.iter().map(|v| f(*v)));
-            w15.row(&row)?;
+            push(
+                &mut fig15,
+                format!("mean({label})"),
+                sel.len().to_string(),
+                &am,
+            );
         }
-        println!("(paper: NoOp 12.4% slowdown; QPRAC 0.8%; proactive variants 0%)");
-        println!("\nFig 15 written to fig15.csv (alerts per tREFI, same runs).");
-        println!("(paper: NoOp ~1.1 alerts/tREFI; QPRAC 0.07; proactive ~0)\n");
-        Ok(())
+        vec![
+            fig14.with_note("(paper: NoOp 12.4% slowdown; QPRAC 0.8%; proactive variants 0%)"),
+            fig15.with_note("(paper: NoOp ~1.1 alerts/tREFI; QPRAC 0.07; proactive ~0)"),
+        ]
     })
 }
 
@@ -144,9 +116,8 @@ pub fn fig14_15_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
 /// run per distinct (timing, workload) pair across the whole suite.
 fn sweep_spec(
     name: &'static str,
-    header: &'static [&'static str],
-    intro: String,
-    outro: Vec<String>,
+    title: &'static str,
+    note: &'static str,
     workloads: &[WorkloadSpec],
     configs: Vec<(String, SystemConfig)>,
 ) -> ExperimentSpec {
@@ -169,8 +140,7 @@ fn sweep_spec(
         }
     }
     ExperimentSpec::new(name, jobs, move |r| {
-        println!("{intro}");
-        let mut w = CsvWriter::create(name, header)?;
+        let mut t = Table::new(name, title, &["config", "norm_perf", "slowdown_pct"]);
         for (label, cfg) in &configs {
             let base_cfg = SystemConfig {
                 mitigation: MitigationKind::None,
@@ -181,14 +151,10 @@ fn sweep_spec(
                     .iter()
                     .map(|spec| r.stats(cfg, spec).normalized_perf(r.stats(&base_cfg, spec))),
             );
-            let slowdown_pct = (1.0 - gm) * 100.0;
-            println!("{label:<44} perf={gm:.4}  slowdown={slowdown_pct:.2}%");
-            w.row(&[label.clone(), f(gm), f(slowdown_pct)])?;
+            t.rows
+                .push(vec![label.clone(), f(gm), f((1.0 - gm) * 100.0)]);
         }
-        for line in &outro {
-            println!("{line}");
-        }
-        Ok(())
+        vec![t.with_note(note)]
     })
 }
 
@@ -212,9 +178,8 @@ pub fn fig16_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     }
     sweep_spec(
         "fig16",
-        &["config", "norm_perf", "slowdown_pct"],
-        "Fig 16: slowdown vs RFMs per Alert Back-Off".into(),
-        vec!["(paper: QPRAC 0.8-0.9% across PRAC levels; proactive variants 0%)\n".into()],
+        "Fig 16: slowdown vs RFMs per Alert Back-Off",
+        "(paper: QPRAC 0.8-0.9% across PRAC levels; proactive variants 0%)",
         workloads,
         configs,
     )
@@ -242,9 +207,8 @@ pub fn fig17_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     }
     sweep_spec(
         "fig17",
-        &["config", "norm_perf", "slowdown_pct"],
-        "Fig 17: slowdown vs PSQ size and proactive cadence".into(),
-        vec!["(paper: <1% overhead across all queue sizes)\n".into()],
+        "Fig 17: slowdown vs PSQ size and proactive cadence",
+        "(paper: <1% overhead across all queue sizes)",
         workloads,
         configs,
     )
@@ -270,9 +234,8 @@ pub fn fig18_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     }
     sweep_spec(
         "fig18",
-        &["config", "norm_perf", "slowdown_pct"],
-        "Fig 18: slowdown vs Back-Off threshold N_BO".into(),
-        vec!["(paper: QPRAC 2.3% at N_BO=16, 0.8% at 32, ~0 above; proactive ~0%)\n".into()],
+        "Fig 18: slowdown vs Back-Off threshold N_BO",
+        "(paper: QPRAC 2.3% at N_BO=16, 0.8% at 32, ~0 above; proactive ~0%)",
         workloads,
         configs,
     )
@@ -310,12 +273,9 @@ pub fn fig20_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     }
     sweep_spec(
         "fig20",
-        &["config", "norm_perf", "slowdown_pct"],
-        "Fig 20: normalized performance vs Rowhammer threshold".into(),
-        vec![
-            "(paper: Mithril 69%..10% and PrIDE 54%..7% slowdown from T_RH 64..512;".into(),
-            " QPRAC ~0% across all thresholds)\n".into(),
-        ],
+        "Fig 20: normalized performance vs Rowhammer threshold",
+        "(paper: Mithril 69%..10% and PrIDE 54%..7% slowdown from T_RH 64..512;\n \
+         QPRAC ~0% across all thresholds)",
         workloads,
         configs,
     )
@@ -398,9 +358,16 @@ pub fn fig21_22_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
         }
     }
     ExperimentSpec::new("fig21_22", jobs, move |r| {
-        println!("Fig 21/22: MOAT vs QPRAC — slowdown and energy overhead vs N_BO");
-        let mut w21 = CsvWriter::create("fig21", &["config", "norm_perf", "slowdown_pct"])?;
-        let mut w22 = CsvWriter::create("fig22", &["config", "energy_overhead_pct"])?;
+        let mut fig21 = Table::new(
+            "fig21",
+            "Fig 21: MOAT vs QPRAC — slowdown vs N_BO",
+            &["config", "norm_perf", "slowdown_pct"],
+        );
+        let mut fig22 = Table::new(
+            "fig22",
+            "Fig 22: MOAT vs QPRAC — energy overhead vs N_BO",
+            &["config", "energy_overhead_pct"],
+        );
         for (label, cfg) in &configs {
             let n = workloads.len();
             let results: Vec<(f64, f64)> = workloads
@@ -413,17 +380,15 @@ pub fn fig21_22_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 .collect();
             let gm = geomean(results.iter().map(|&(p, _)| p));
             let e = results.iter().map(|&(_, e)| e).sum::<f64>() / n as f64;
-            println!(
-                "{label:<34} perf={gm:.4} slowdown={:.2}%  energy_overhead={:.2}%",
-                (1.0 - gm) * 100.0,
-                e * 100.0
-            );
-            w21.row(&[label.clone(), f(gm), f((1.0 - gm) * 100.0)])?;
-            w22.row(&[label.clone(), f(e * 100.0)])?;
+            fig21
+                .rows
+                .push(vec![label.clone(), f(gm), f((1.0 - gm) * 100.0)]);
+            fig22.rows.push(vec![label.clone(), f(e * 100.0)]);
         }
-        println!("(paper Fig 21: at N_BO=16 MOAT 3.6% vs QPRAC 2.3%; both <1% at 32+)");
-        println!("(paper Fig 22: both <2% energy at N_BO>=32)\n");
-        Ok(())
+        vec![
+            fig21.with_note("(paper Fig 21: at N_BO=16 MOAT 3.6% vs QPRAC 2.3%; both <1% at 32+)"),
+            fig22.with_note("(paper Fig 22: both <2% energy at N_BO>=32)"),
+        ]
     })
 }
 
@@ -431,10 +396,25 @@ pub fn fig21_22_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
 pub fn table03_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
     let workloads = workloads.to_vec();
     let kinds = [
-        ("QPRAC", MitigationKind::Qprac),
-        ("QPRAC+Proactive", MitigationKind::QpracProactive),
-        ("QPRAC+Proactive-EA", MitigationKind::QpracProactiveEa),
+        MitigationKind::Qprac,
+        MitigationKind::QpracProactive,
+        MitigationKind::QpracProactiveEa,
     ];
+    // One row per PRAC level, one config per column.
+    let levels: Vec<(u8, Vec<SystemConfig>)> = [1u8, 2, 4]
+        .iter()
+        .map(|&nmit| {
+            let cfgs = kinds
+                .iter()
+                .map(|&kind| {
+                    SystemConfig::paper_default()
+                        .with_mitigation(kind)
+                        .with_nmit(nmit)
+                })
+                .collect();
+            (nmit, cfgs)
+        })
+        .collect();
     let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
     let mut jobs = Vec::new();
     for spec in &workloads {
@@ -442,59 +422,40 @@ pub fn table03_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
             cfg: base_cfg.clone(),
             workload: spec.clone(),
         });
-        for nmit in [1u8, 2, 4] {
-            for (_, kind) in kinds {
-                jobs.push(Job::Workload {
-                    cfg: SystemConfig::paper_default()
-                        .with_mitigation(kind)
-                        .with_nmit(nmit),
-                    workload: spec.clone(),
-                });
-            }
+        for cfg in levels.iter().flat_map(|(_, cfgs)| cfgs) {
+            jobs.push(Job::Workload {
+                cfg: cfg.clone(),
+                workload: spec.clone(),
+            });
         }
     }
     ExperimentSpec::new("table03", jobs, move |r| {
-        println!("Table III: energy overhead of QPRAC designs");
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "table03",
+            "Table III: energy overhead of QPRAC designs",
             &[
                 "prac_level",
                 "qprac_pct",
                 "proactive_pct",
                 "proactive_ea_pct",
             ],
-        )?;
-        println!(
-            "{:<8} {:>8} {:>17} {:>20}",
-            "level", "QPRAC", "QPRAC+Proactive", "QPRAC+Proactive-EA"
         );
-        for nmit in [1u8, 2, 4] {
-            let n = workloads.len();
-            let avg: Vec<f64> = kinds
-                .iter()
-                .map(|(_, kind)| {
-                    let cfg = SystemConfig::paper_default()
-                        .with_mitigation(*kind)
-                        .with_nmit(nmit);
-                    workloads
-                        .iter()
-                        .map(|spec| {
-                            r.stats(&cfg, spec)
-                                .energy
-                                .overhead_vs(&r.stats(&base_cfg, spec).energy)
-                        })
-                        .sum::<f64>()
-                        / n as f64
-                        * 100.0
-                })
-                .collect();
-            println!(
-                "PRAC-{nmit:<3} {:>7.2}% {:>16.2}% {:>19.2}%",
-                avg[0], avg[1], avg[2]
-            );
-            w.row(&[format!("PRAC-{nmit}"), f(avg[0]), f(avg[1]), f(avg[2])])?;
+        let n = workloads.len() as f64;
+        for (nmit, cfgs) in &levels {
+            let mut row = vec![format!("PRAC-{nmit}")];
+            row.extend(cfgs.iter().map(|cfg| {
+                let total: f64 = workloads
+                    .iter()
+                    .map(|spec| {
+                        r.stats(cfg, spec)
+                            .energy
+                            .overhead_vs(&r.stats(&base_cfg, spec).energy)
+                    })
+                    .sum();
+                f(total / n * 100.0)
+            }));
+            t.rows.push(row);
         }
-        println!("(paper: QPRAC 1.2-1.5%, +Proactive 14.6%, +Proactive-EA 1.9%)\n");
-        Ok(())
+        vec![t.with_note("(paper: QPRAC 1.2-1.5%, +Proactive 14.6%, +Proactive-EA 1.9%)")]
     })
 }

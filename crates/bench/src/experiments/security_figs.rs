@@ -9,7 +9,7 @@
 use attack_engine::EngineSpec;
 use security_model::{max_r1, n_online, secure_trh, setup, trh_curve, PracModel};
 
-use crate::csv::{f, CsvWriter};
+use crate::csv::{f, Table};
 use crate::spec::ExperimentSpec;
 
 /// Fig 2: Toggle+Forget on Panopticon (simulated on the ACT engine).
@@ -23,19 +23,18 @@ pub fn fig02_spec() -> ExperimentSpec {
     let cell = |q, t| EngineSpec::ToggleForget { queue: q, tbit: t };
     let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
     ExperimentSpec::new("fig02", jobs, move |r| {
-        let mut w = CsvWriter::create("fig02", &["queue_size", "tbit", "max_unmitigated_acts"])?;
-        println!("Fig 2: Panopticon Toggle+Forget — max unmitigated ACTs to a row");
-        println!(
-            "{:>10} {:>6} {:>22}",
-            "queue", "t-bit", "max unmitigated ACTs"
+        let mut table = Table::new(
+            "fig02",
+            "Fig 2: Panopticon Toggle+Forget — max unmitigated ACTs to a row",
+            &["queue_size", "tbit", "max_unmitigated_acts"],
         );
         for &(q, t) in &grid {
             let acts = r.engine(cell(q, t));
-            println!("{q:>10} {t:>6} {acts:>22}");
-            w.row(&[q.to_string(), t.to_string(), acts.to_string()])?;
+            table
+                .rows
+                .push(vec![q.to_string(), t.to_string(), acts.to_string()]);
         }
-        println!("(paper: >100K at Q=4, ~25K at Q=16, threshold-independent)\n");
-        Ok(())
+        vec![table.with_note("(paper: >100K at Q=4, ~25K at Q=16, threshold-independent)")]
     })
 }
 
@@ -53,78 +52,53 @@ pub fn fig03_spec() -> ExperimentSpec {
     };
     let jobs = grid.iter().map(|&(q, m)| cell(q, m).into()).collect();
     ExperimentSpec::new("fig03", jobs, move |r| {
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "fig03",
+            "Fig 3: Fill+Escape on FIFO service queues — max unmitigated ACTs",
             &["queue_size", "threshold", "max_unmitigated_acts"],
-        )?;
-        println!("Fig 3: Fill+Escape on FIFO service queues — max unmitigated ACTs");
-        println!(
-            "{:>8} {:>10} {:>22}",
-            "queue", "threshold", "max unmitigated ACTs"
         );
         for &(q, m) in &grid {
             let acts = r.engine(cell(q, m));
-            println!("{q:>8} {m:>10} {acts:>22}");
-            w.row(&[q.to_string(), m.to_string(), acts.to_string()])?;
+            t.rows
+                .push(vec![q.to_string(), m.to_string(), acts.to_string()]);
         }
-        println!("(paper: minimum ~1283 at threshold 512; insecure below T_RH 1280)\n");
-        Ok(())
+        vec![t.with_note("(paper: minimum ~1283 at threshold 512; insecure below T_RH 1280)")]
     })
 }
 
 /// Fig 6: N_online vs starting pool R1 (analytical).
 pub fn fig06_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig06", Vec::new(), |_| {
-        let mut w = CsvWriter::create("fig06", &["r1", "prac1", "prac2", "prac4"])?;
-        println!("Fig 6: online-phase activations N_online vs starting pool R1");
-        println!(
-            "{:>8} {:>7} {:>7} {:>7}",
-            "R1", "PRAC-1", "PRAC-2", "PRAC-4"
+        let mut t = Table::new(
+            "fig06",
+            "Fig 6: online-phase activations N_online vs starting pool R1",
+            &["r1", "prac1", "prac2", "prac4"],
         );
         for r1 in [
             4u64, 1024, 4096, 20_480, 40_960, 61_440, 81_920, 102_400, 131_072,
         ] {
-            let n: Vec<u64> = [1u32, 2, 4]
-                .iter()
-                .map(|&m| n_online(&PracModel::prac(m, 1), r1))
-                .collect();
-            println!("{r1:>8} {:>7} {:>7} {:>7}", n[0], n[1], n[2]);
-            w.row(&[
-                r1.to_string(),
-                n[0].to_string(),
-                n[1].to_string(),
-                n[2].to_string(),
-            ])?;
+            let mut row = vec![r1.to_string()];
+            row.extend([1u32, 2, 4].map(|m| n_online(&PracModel::prac(m, 1), r1).to_string()));
+            t.rows.push(row);
         }
-        println!("(paper: maxima 46 / 30 / 23 at 128K)\n");
-        Ok(())
+        vec![t.with_note("(paper: maxima 46 / 30 / 23 at 128K)")]
     })
 }
 
 /// Fig 7: maximum feasible R1 vs N_BO (analytical).
 pub fn fig07_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig07", Vec::new(), |_| {
-        let mut w = CsvWriter::create("fig07", &["nbo", "prac1", "prac2", "prac4"])?;
-        println!("Fig 7: maximum starting pool R1 vs Back-Off threshold N_BO");
-        println!(
-            "{:>6} {:>8} {:>8} {:>8}",
-            "N_BO", "PRAC-1", "PRAC-2", "PRAC-4"
+        let mut t = Table::new(
+            "fig07",
+            "Fig 7: maximum starting pool R1 vs Back-Off threshold N_BO",
+            &["nbo", "prac1", "prac2", "prac4"],
         );
         for nbo in [1u32, 2, 4, 8, 16, 32, 64, 128, 256] {
-            let r: Vec<u64> = [1u32, 2, 4]
-                .iter()
-                .map(|&m| max_r1(&PracModel::prac(m, nbo)))
-                .collect();
-            println!("{nbo:>6} {:>8} {:>8} {:>8}", r[0], r[1], r[2]);
-            w.row(&[
-                nbo.to_string(),
-                r[0].to_string(),
-                r[1].to_string(),
-                r[2].to_string(),
-            ])?;
+            let mut row = vec![nbo.to_string()];
+            row.extend([1u32, 2, 4].map(|m| max_r1(&PracModel::prac(m, nbo)).to_string()));
+            t.rows.push(row);
         }
-        println!("(paper: 50K-62K at N_BO=1, ~2K at N_BO=256)\n");
-        Ok(())
+        vec![t.with_note("(paper: 50K-62K at N_BO=1, ~2K at N_BO=256)")]
     })
 }
 
@@ -132,28 +106,21 @@ pub fn fig07_spec() -> ExperimentSpec {
 pub fn fig08_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig08", Vec::new(), |_| {
         let nbos = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
-        let mut w = CsvWriter::create("fig08", &["nbo", "prac1", "prac2", "prac4"])?;
-        println!("Fig 8: minimum secure T_RH vs Back-Off threshold N_BO");
-        println!(
-            "{:>6} {:>7} {:>7} {:>7}",
-            "N_BO", "PRAC-1", "PRAC-2", "PRAC-4"
+        let mut table = Table::new(
+            "fig08",
+            "Fig 8: minimum secure T_RH vs Back-Off threshold N_BO",
+            &["nbo", "prac1", "prac2", "prac4"],
         );
         let curves: Vec<Vec<(u32, u64)>> = [1u32, 2, 4]
             .iter()
             .map(|&m| trh_curve(m, &nbos, false))
             .collect();
         for (i, &nbo) in nbos.iter().enumerate() {
-            let t: Vec<u64> = curves.iter().map(|c| c[i].1).collect();
-            println!("{nbo:>6} {:>7} {:>7} {:>7}", t[0], t[1], t[2]);
-            w.row(&[
-                nbo.to_string(),
-                t[0].to_string(),
-                t[1].to_string(),
-                t[2].to_string(),
-            ])?;
+            let mut row = vec![nbo.to_string()];
+            row.extend(curves.iter().map(|c| c[i].1.to_string()));
+            table.rows.push(row);
         }
-        println!("(paper: 44/29/22 at N_BO=1; 71/58/52 at 32; 289/279/274 at 256)\n");
-        Ok(())
+        vec![table.with_note("(paper: 44/29/22 at N_BO=1; 71/58/52 at 32; 289/279/274 at 256)")]
     })
 }
 
@@ -161,8 +128,9 @@ pub fn fig08_spec() -> ExperimentSpec {
 pub fn fig11_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig11", Vec::new(), |_| {
         let nbos = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "fig11",
+            "Fig 11: maximum R1 with/without proactive mitigation",
             &[
                 "nbo",
                 "prac1",
@@ -172,71 +140,36 @@ pub fn fig11_spec() -> ExperimentSpec {
                 "prac4",
                 "prac4_pro",
             ],
-        )?;
-        println!("Fig 11: maximum R1 with/without proactive mitigation");
-        println!(
-            "{:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "N_BO", "P1", "P1+Pro", "P2", "P2+Pro", "P4", "P4+Pro"
         );
         for &nbo in &nbos {
-            let mut cols = Vec::new();
+            let mut row = vec![nbo.to_string()];
             for m in [1u32, 2, 4] {
-                cols.push(max_r1(&PracModel::prac(m, nbo)));
-                cols.push(max_r1(&PracModel::prac(m, nbo).with_proactive()));
+                row.push(max_r1(&PracModel::prac(m, nbo)).to_string());
+                row.push(max_r1(&PracModel::prac(m, nbo).with_proactive()).to_string());
             }
-            println!(
-                "{nbo:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
-            );
-            w.row(&[
-                nbo.to_string(),
-                cols[0].to_string(),
-                cols[1].to_string(),
-                cols[2].to_string(),
-                cols[3].to_string(),
-                cols[4].to_string(),
-                cols[5].to_string(),
-            ])?;
+            t.rows.push(row);
         }
-        println!("(paper: proactive defeats the attack entirely at N_BO >= 128)\n");
-        Ok(())
+        vec![t.with_note("(paper: proactive defeats the attack entirely at N_BO >= 128)")]
     })
 }
 
 /// Fig 12: N_online with vs without proactive mitigation.
 pub fn fig12_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig12", Vec::new(), |_| {
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "fig12",
+            "Fig 12: N_online with/without proactive mitigation",
             &["r1", "q1", "q1_pro", "q2", "q2_pro", "q4", "q4_pro"],
-        )?;
-        println!("Fig 12: N_online with/without proactive mitigation");
-        println!(
-            "{:>8} {:>6} {:>7} {:>6} {:>7} {:>6} {:>7}",
-            "R1", "Q1", "Q1+Pro", "Q2", "Q2+Pro", "Q4", "Q4+Pro"
         );
         for r1 in [4u64, 20_480, 40_960, 61_440, 81_920, 102_400, 131_072] {
-            let mut cols = Vec::new();
+            let mut row = vec![r1.to_string()];
             for m in [1u32, 2, 4] {
-                cols.push(n_online(&PracModel::prac(m, 1), r1));
-                cols.push(n_online(&PracModel::prac(m, 1).with_proactive(), r1));
+                row.push(n_online(&PracModel::prac(m, 1), r1).to_string());
+                row.push(n_online(&PracModel::prac(m, 1).with_proactive(), r1).to_string());
             }
-            println!(
-                "{r1:>8} {:>6} {:>7} {:>6} {:>7} {:>6} {:>7}",
-                cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
-            );
-            w.row(&[
-                r1.to_string(),
-                cols[0].to_string(),
-                cols[1].to_string(),
-                cols[2].to_string(),
-                cols[3].to_string(),
-                cols[4].to_string(),
-                cols[5].to_string(),
-            ])?;
+            t.rows.push(row);
         }
-        println!("(paper: N_online drops by at most 5 / 2 / 1)\n");
-        Ok(())
+        vec![t.with_note("(paper: N_online drops by at most 5 / 2 / 1)")]
     })
 }
 
@@ -244,37 +177,20 @@ pub fn fig12_spec() -> ExperimentSpec {
 pub fn fig13_spec() -> ExperimentSpec {
     ExperimentSpec::new("fig13", Vec::new(), |_| {
         let nbos = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "fig13",
+            "Fig 13: secure T_RH with/without proactive mitigation",
             &["nbo", "q1", "q1_pro", "q2", "q2_pro", "q4", "q4_pro"],
-        )?;
-        println!("Fig 13: secure T_RH with/without proactive mitigation");
-        println!(
-            "{:>6} {:>6} {:>7} {:>6} {:>7} {:>6} {:>7}",
-            "N_BO", "Q1", "Q1+Pro", "Q2", "Q2+Pro", "Q4", "Q4+Pro"
         );
         for &nbo in &nbos {
-            let mut cols = Vec::new();
+            let mut row = vec![nbo.to_string()];
             for m in [1u32, 2, 4] {
-                cols.push(secure_trh(&PracModel::prac(m, nbo)));
-                cols.push(secure_trh(&PracModel::prac(m, nbo).with_proactive()));
+                row.push(secure_trh(&PracModel::prac(m, nbo)).to_string());
+                row.push(secure_trh(&PracModel::prac(m, nbo).with_proactive()).to_string());
             }
-            println!(
-                "{nbo:>6} {:>6} {:>7} {:>6} {:>7} {:>6} {:>7}",
-                cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
-            );
-            w.row(&[
-                nbo.to_string(),
-                cols[0].to_string(),
-                cols[1].to_string(),
-                cols[2].to_string(),
-                cols[3].to_string(),
-                cols[4].to_string(),
-                cols[5].to_string(),
-            ])?;
+            t.rows.push(row);
         }
-        println!("(paper: 40/27/20 at N_BO=1 with proactive, vs 44/29/22 without)\n");
-        Ok(())
+        vec![t.with_note("(paper: 40/27/20 at N_BO=1 with proactive, vs 44/29/22 without)")]
     })
 }
 
@@ -290,34 +206,28 @@ pub fn fig23_spec() -> ExperimentSpec {
     let cell = |q, t| EngineSpec::BlockedTbit { queue: q, tbit: t };
     let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
     ExperimentSpec::new("fig23", jobs, move |r| {
-        let mut w = CsvWriter::create(
+        let mut table = Table::new(
             "fig23",
+            "Fig 23: Panopticon with blocked t-bit toggling during ABO windows",
             &[
                 "queue_size",
                 "threshold",
                 "engine_per_bank",
                 "analytic_channel",
             ],
-        )?;
-        println!("Fig 23: Panopticon with blocked t-bit toggling during ABO windows");
-        println!(
-            "{:>8} {:>10} {:>16} {:>18}",
-            "queue", "threshold", "engine(per-bank)", "analytic(channel)"
         );
         for &(q, t) in &grid {
             let engine = r.engine(cell(q, t));
             let m = 1u64 << t;
             let analytic = security_model::panopticon::blocked_tbit_max_acts(q as u64, m);
-            println!("{q:>8} {m:>10} {engine:>16} {analytic:>18}");
-            w.row(&[
+            table.rows.push(vec![
                 q.to_string(),
                 m.to_string(),
                 engine.to_string(),
                 analytic.to_string(),
-            ])?;
+            ]);
         }
-        println!("(paper: ~1800 unmitigated ACTs at threshold 1024 — still insecure)\n");
-        Ok(())
+        vec![table.with_note("(paper: ~1800 unmitigated ACTs at threshold 1024 — still insecure)")]
     })
 }
 
@@ -338,14 +248,10 @@ pub fn wave_validate_spec() -> ExperimentSpec {
         .map(|&(nmit, nbo, r1)| cell(nmit, nbo, r1).into())
         .collect();
     ExperimentSpec::new("wave_validate", jobs, move |r| {
-        let mut w = CsvWriter::create(
+        let mut t = Table::new(
             "wave_validate",
+            "Wave-attack validation: simulation vs analytical model (§IV-B)",
             &["nmit", "nbo", "r1", "simulated", "model", "rel_err"],
-        )?;
-        println!("Wave-attack validation: simulation vs analytical model (§IV-B)");
-        println!(
-            "{:>5} {:>5} {:>7} {:>10} {:>7} {:>8}",
-            "nmit", "N_BO", "R1", "simulated", "model", "rel err"
         );
         for &(nmit, nbo, r1) in &grid {
             let sim = r.engine(cell(nmit, nbo, r1));
@@ -355,20 +261,15 @@ pub fn wave_validate_spec() -> ExperimentSpec {
                     setup::surviving_pool(&PracModel::prac(nmit, nbo), r1),
                 );
             let err = (sim as f64 - model as f64).abs() / model as f64;
-            println!(
-                "{nmit:>5} {nbo:>5} {r1:>7} {sim:>10} {model:>7} {:>7.1}%",
-                err * 100.0
-            );
-            w.row(&[
+            t.rows.push(vec![
                 nmit.to_string(),
                 nbo.to_string(),
                 r1.to_string(),
                 sim.to_string(),
                 model.to_string(),
                 f(err),
-            ])?;
+            ]);
         }
-        println!("(paper: simulated wave results within ~1% of the analytical model)\n");
-        Ok(())
+        vec![t.with_note("(paper: simulated wave results within ~1% of the analytical model)")]
     })
 }

@@ -5,15 +5,18 @@
 use dram_core::{DramConfig, PracParams};
 use energy_model::storage;
 
-use crate::csv::CsvWriter;
+use crate::csv::Table;
 use crate::spec::ExperimentSpec;
 
 /// Table I: PRAC parameters as configured.
 pub fn table01_spec() -> ExperimentSpec {
     ExperimentSpec::new("table01", Vec::new(), |_| {
         let p = PracParams::paper_default();
-        let mut w = CsvWriter::create("table01", &["parameter", "value"])?;
-        println!("Table I: PRAC parameters (JEDEC DDR5 specification)");
+        let mut t = Table::new(
+            "table01",
+            "Table I: PRAC parameters (JEDEC DDR5 specification)",
+            &["parameter", "value"],
+        );
         let rows = [
             ("N_BO (Back-Off threshold)".to_string(), p.nbo.to_string()),
             (
@@ -31,11 +34,9 @@ pub fn table01_spec() -> ExperimentSpec {
             ("Blast radius".to_string(), p.blast_radius.to_string()),
         ];
         for (k, v) in rows {
-            println!("  {k:<34} {v}");
-            w.row(&[k, v])?;
+            t.rows.push(vec![k, v]);
         }
-        println!();
-        Ok(())
+        vec![t]
     })
 }
 
@@ -43,8 +44,11 @@ pub fn table01_spec() -> ExperimentSpec {
 pub fn table02_spec() -> ExperimentSpec {
     ExperimentSpec::new("table02", Vec::new(), |_| {
         let d = DramConfig::paper_default();
-        let mut w = CsvWriter::create("table02", &["parameter", "value"])?;
-        println!("Table II: system configuration");
+        let mut table = Table::new(
+            "table02",
+            "Table II: system configuration",
+            &["parameter", "value"],
+        );
         let t = d.timing;
         let rows = [
             (
@@ -100,43 +104,27 @@ pub fn table02_spec() -> ExperimentSpec {
             ),
         ];
         for (k, v) in rows {
-            println!("  {k:<28} {v}");
-            w.row(&[k, v])?;
+            table.rows.push(vec![k, v]);
         }
-        println!();
-        Ok(())
+        vec![table]
     })
 }
 
 /// Table IV: per-bank SRAM of in-DRAM trackers.
 pub fn table04_spec() -> ExperimentSpec {
     ExperimentSpec::new("table04", Vec::new(), |_| {
-        let mut w = CsvWriter::create("table04", &["tracker", "trh_4k", "trh_100"])?;
-        println!("Table IV: per-bank SRAM overhead of in-DRAM trackers");
-        println!("{:<14} {:>14} {:>14}", "tracker", "T_RH = 4K", "T_RH = 100");
+        let mut t = Table::new(
+            "table04",
+            "Table IV: per-bank SRAM overhead of in-DRAM trackers (bytes)",
+            &["tracker", "trh_4k", "trh_100"],
+        );
         for row in storage::table_iv() {
-            let fmt = |b: f64| -> String {
-                if b < 1024.0 {
-                    format!("{b:.0} B")
-                } else if b < 1024.0 * 1024.0 {
-                    format!("{:.1} KB", b / 1024.0)
-                } else {
-                    format!("{:.2} MB", b / 1024.0 / 1024.0)
-                }
-            };
-            println!(
-                "{:<14} {:>14} {:>14}",
-                row.name,
-                fmt(row.at_4k),
-                fmt(row.at_100)
-            );
-            w.row(&[
+            t.rows.push(vec![
                 row.name.to_string(),
                 format!("{:.0}", row.at_4k),
                 format!("{:.0}", row.at_100),
-            ])?;
+            ]);
         }
-        println!("(paper: 42.5KB/1700KB, 300KB/12MB, 196KB/7.84MB, 15B/15B)\n");
-        Ok(())
+        vec![t.with_note("(paper: 42.5KB/1700KB, 300KB/12MB, 196KB/7.84MB, 15B/15B)")]
     })
 }

@@ -9,12 +9,12 @@
 //! Criterion micro-benchmarks live in `benches/`.
 //!
 //! Every figure/table is declared as an [`ExperimentSpec`] (a grid of
-//! [`Job`] cells plus a CSV/stdout emitter) in [`experiments`]; the
+//! [`Job`] cells plus an emitter returning [`Table`]s) in [`experiments`]; the
 //! [`runner`] dedupes cells globally by `sim::RunKey`, resolves them
 //! from the optional persistent cache (`QPRAC_RUN_CACHE`), executes the
 //! remainder through a pluggable [`CellExecutor`] — the in-process work
 //! pool (`QPRAC_JOBS` caps its width) or a shared `qprac-serve` daemon
-//! (`QPRAC_REMOTE=host:port`) — and renders each spec. `run_all`
+//! (`QPRAC_REMOTE=host:port`) — and writes each spec's tables. `run_all`
 //! schedules all selected specs' cells together, so cells shared across
 //! figures — notably the unmitigated baselines — simulate exactly
 //! once. See README "Experiment orchestration" and "Simulation
@@ -33,9 +33,9 @@ pub mod profile;
 pub mod runner;
 pub mod spec;
 
-pub use csv::CsvWriter;
+pub use csv::Table;
 pub use runner::{
-    execute, execute_with, executor_from_env, scrape_cluster, scrape_cluster_from_env,
+    execute, execute_with, executor_from_env, scrape_cluster, scrape_cluster_from_env, tables_with,
     write_cluster_metrics, CellExecutor, FaultStats, LocalExecutor, RemoteExecutor, RunReport,
 };
 pub use spec::{ExperimentSpec, Job, JobResult, ResultSet};

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use sim::{RunCache, RunKey};
 
+use crate::csv::{write_tables, Table};
 use crate::harness::{parallel, pool_width};
 use crate::profile;
 use crate::spec::{ExperimentSpec, Job, JobResult, ResultSet};
@@ -581,8 +582,7 @@ pub fn scrape_cluster(shards: &[String]) -> Result<qprac_obs::Snapshot, String> 
 /// path written. The file is the same Prometheus text a single-shard
 /// `METRICS` scrape yields, with every shard's counts summed.
 pub fn write_cluster_metrics(snap: &qprac_obs::Snapshot) -> io::Result<std::path::PathBuf> {
-    let dir = std::env::var("QPRAC_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = std::path::PathBuf::from(dir);
+    let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("metrics_cluster.txt");
     std::fs::write(&path, snap.render_prometheus())?;
@@ -605,9 +605,16 @@ pub fn scrape_cluster_from_env() -> Option<Result<(qprac_obs::Snapshot, std::pat
     }))
 }
 
+/// The results directory: `QPRAC_RESULTS_DIR`, or `results/`.
+fn results_dir() -> std::path::PathBuf {
+    std::env::var_os("QPRAC_RESULTS_DIR")
+        .unwrap_or_else(|| "results".into())
+        .into()
+}
+
 /// Run a suite of specs: dedupe cells, resolve them (cache, then the
-/// env-selected executor), emit every spec in order, and print the
-/// cache summary.
+/// env-selected executor), write every spec's tables in order, and
+/// print the cache summary.
 pub fn execute(specs: &[ExperimentSpec]) -> io::Result<RunReport> {
     let report = execute_with(
         specs,
@@ -619,15 +626,32 @@ pub fn execute(specs: &[ExperimentSpec]) -> io::Result<RunReport> {
     Ok(report)
 }
 
-/// The scheduler with the cache and executor injected (tests pass a
-/// temp-dir cache and an explicit backend so they never mutate process
-/// environment).
+/// The scheduler with the cache and executor injected: resolve every
+/// cell, then write each table of each spec, in order, as
+/// `<name>.csv` under `QPRAC_RESULTS_DIR` (default `results/`) and as a
+/// block on stdout.
 pub fn execute_with(
     specs: &[ExperimentSpec],
     executor: &dyn CellExecutor,
     cache: &RunCache,
     verbose: bool,
 ) -> io::Result<RunReport> {
+    let t0 = Instant::now();
+    let (tables, mut report) = tables_with(specs, executor, cache, verbose);
+    write_tables(&tables, &results_dir())?;
+    report.wall = t0.elapsed();
+    Ok(report)
+}
+
+/// [`execute_with`] without the writing: every spec's tables, in order,
+/// and the pass's report (tests compare the tables in memory, so they
+/// never touch the results directory or process environment).
+pub fn tables_with(
+    specs: &[ExperimentSpec],
+    executor: &dyn CellExecutor,
+    cache: &RunCache,
+    verbose: bool,
+) -> (Vec<Table>, RunReport) {
     let t0 = Instant::now();
     let mut cells = 0usize;
     let mut seen: HashSet<RunKey> = HashSet::new();
@@ -696,17 +720,15 @@ pub fn execute_with(
     }
 
     let set = ResultSet::new(&results);
-    for spec in specs {
-        (spec.emit)(&set)?;
-    }
-
-    Ok(RunReport {
+    let tables = specs.iter().flat_map(|spec| (spec.emit)(&set)).collect();
+    let report = RunReport {
         cells,
         unique: unique_n,
         cache_hits,
         executed: unique_n - cache_hits,
         wall: t0.elapsed(),
-    })
+    };
+    (tables, report)
 }
 
 #[cfg(test)]
@@ -739,39 +761,45 @@ mod tests {
         }
     }
 
+    /// A one-cell table holding an engine count.
+    fn count_table(name: &str, count: u64) -> Table {
+        let mut t = Table::new(name, name, &["count"]);
+        t.rows.push(vec![count.to_string()]);
+        t
+    }
+
     #[test]
     fn execute_dedupes_across_specs_and_reports_hits() {
         let (cache, dir) = temp_cache("exec");
         let shared = wave(4);
-        let shared_count = shared.run();
         // Two specs requesting overlapping engine cells.
         let make_specs = || {
             vec![
                 ExperimentSpec::new(
                     "a",
                     vec![Job::from(shared), Job::from(wave(5)), Job::from(shared)],
-                    move |r| {
-                        assert_eq!(r.engine(shared), shared_count);
-                        Ok(())
-                    },
+                    move |r| vec![count_table("a", r.engine(shared))],
                 ),
                 ExperimentSpec::new("b", vec![Job::from(shared), Job::from(wave(6))], |r| {
-                    assert_eq!(r.engine(wave(6)), wave(6).run());
-                    Ok(())
+                    vec![count_table("b", r.engine(wave(6)))]
                 }),
             ]
         };
+        let expected = vec![
+            count_table("a", shared.run()),
+            count_table("b", wave(6).run()),
+        ];
         // Cold pass against an explicit cache dir (not env-driven: tests
         // must not mutate process env).
-        let specs = make_specs();
-        let report = execute_with(&specs, &LocalExecutor, &cache, false).unwrap();
+        let (tables, report) = tables_with(&make_specs(), &LocalExecutor, &cache, false);
+        assert_eq!(tables, expected);
         assert_eq!(report.cells, 5);
         assert_eq!(report.unique, 3);
         assert_eq!(report.cache_hits, 0);
         assert!(report.dedupe_ratio() > 1.0);
-        // Warm pass: everything hits.
-        let specs = make_specs();
-        let report = execute_with(&specs, &LocalExecutor, &cache, false).unwrap();
+        // Warm pass: everything hits, and the tables are unchanged.
+        let (tables, report) = tables_with(&make_specs(), &LocalExecutor, &cache, false);
+        assert_eq!(tables, expected);
         assert_eq!(report.cache_hits, 3);
         assert_eq!(report.executed, 0);
         let _ = fs::remove_dir_all(dir);
@@ -786,9 +814,9 @@ mod tests {
         let specs = vec![ExperimentSpec::new(
             "g",
             vec![Job::from(wave(4)), Job::from(wave(5))],
-            |_| Ok(()),
+            |_| Vec::new(),
         )];
-        execute_with(&specs, &LocalExecutor, &cache, false).unwrap();
+        tables_with(&specs, &LocalExecutor, &cache, false);
         let remaining = fs::read_dir(&dir).unwrap().count();
         assert_eq!(remaining, 0, "gc must evict past-budget entries");
         let _ = fs::remove_dir_all(dir);

@@ -2,16 +2,17 @@
 //!
 //! A figure or table is an [`ExperimentSpec`]: a list of [`Job`] cells
 //! (the simulations and attack-engine runs it needs, each plain data
-//! named by its [`RunKey`]) plus an `emit` closure that renders stdout +
-//! CSV output from the resolved [`ResultSet`].
-//! Specs never run anything themselves — the [`crate::runner`] collects
-//! every spec's cells, dedupes them globally by [`RunKey`], executes the
-//! union once through one work pool (with an optional persistent
-//! cache), and then calls each spec's emitter in order.
+//! named by its [`RunKey`]) plus a pure `emit` closure that turns the
+//! resolved [`ResultSet`] into [`Table`]s.
+//! Specs never run or write anything themselves — the [`crate::runner`]
+//! collects every spec's cells, dedupes them globally by [`RunKey`],
+//! executes the union once through one work pool (with an optional
+//! persistent cache), calls each spec's emitter in order, and writes
+//! every table it gets back as a CSV and a stdout block.
 //!
 //! Adding a new figure is therefore a spec constructor: build the cell
 //! grid, write an emitter that looks each cell up by the same
-//! `(config, workload)` pair, and list the spec in
+//! `(config, workload)` pair and returns its tables, and list the spec in
 //! [`crate::experiments::run_all_specs`], which makes it runnable as
 //! `run_all <name>` and puts it under the `bin_smoke` suite. See
 //! `experiments/perf_figs.rs` for templates and the README section
@@ -22,6 +23,8 @@ use std::collections::HashMap;
 use attack_engine::EngineSpec;
 use cpu_model::{WorkloadMix, WorkloadSpec};
 use sim::{BwAttackStats, RunKey, RunStats, SystemConfig};
+
+use crate::csv::Table;
 
 /// One schedulable cell of an experiment: the shared [`sim::CellSpec`]
 /// (a workload, mix, bandwidth-attack or attack-engine cell), so the
@@ -34,8 +37,8 @@ pub use sim::CellSpec as Job;
 /// files and the `qprac-serve` wire protocol.
 pub use sim::CellResult as JobResult;
 
-/// An emitter: renders one spec's stdout + CSV from resolved cells.
-pub type EmitFn = Box<dyn Fn(&ResultSet) -> std::io::Result<()>>;
+/// An emitter: one spec's tables, computed from resolved cells.
+pub type EmitFn = Box<dyn Fn(&ResultSet) -> Vec<Table>>;
 
 /// One declared figure/table.
 pub struct ExperimentSpec {
@@ -45,8 +48,8 @@ pub struct ExperimentSpec {
     /// Every cell the emitter will look up. Cells may repeat across
     /// specs (and within one) — the runner dedupes globally.
     pub jobs: Vec<Job>,
-    /// Renders stdout + CSV from the resolved cells. Must only request
-    /// cells listed in `jobs`.
+    /// Builds the spec's tables from the resolved cells. Must only
+    /// request cells listed in `jobs`.
     pub emit: EmitFn,
 }
 
@@ -55,7 +58,7 @@ impl ExperimentSpec {
     pub fn new(
         name: &'static str,
         jobs: Vec<Job>,
-        emit: impl Fn(&ResultSet) -> std::io::Result<()> + 'static,
+        emit: impl Fn(&ResultSet) -> Vec<Table> + 'static,
     ) -> Self {
         ExperimentSpec {
             name,

@@ -5,7 +5,8 @@
 //! to that spec list, so a new spec cannot go unsmoked.
 //! `QPRAC_INSTR` / `QPRAC_ATTACK_WINDOW` shrink the simulations so the
 //! whole suite stays fast; the numbers are meaningless at these lengths
-//! and are not checked, only the exit status.
+//! and are not checked, only the exit status and that stdout shows
+//! every column of every CSV the run wrote.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -53,8 +54,24 @@ fn smoke(args: &[&str], test: &str) {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    // Every spec reports its series on stdout.
-    assert!(!out.stdout.is_empty(), "run_all {args:?} printed nothing");
+    // Every spec reports its series on stdout: each column of each CSV
+    // it wrote is printed under the CSV's own header name.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut csvs = 0;
+    for entry in std::fs::read_dir(&dir).expect("results dir") {
+        let path = entry.expect("results entry").path();
+        let text = std::fs::read_to_string(&path).expect("read csv");
+        let header = text.lines().next().unwrap_or_default();
+        for field in header.split(',') {
+            assert!(
+                stdout.contains(field),
+                "run_all {args:?}: column {field:?} of {} is not on stdout",
+                path.display()
+            );
+        }
+        csvs += 1;
+    }
+    assert!(csvs > 0, "run_all {args:?} wrote no CSV");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

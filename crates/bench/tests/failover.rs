@@ -1,19 +1,18 @@
 //! Fault-tolerance integration for the spec runner: a flaky two-shard
 //! cluster (one shard dead, deterministic chaos on the survivor) must
-//! emit byte-identical CSVs to local execution — with only the dead
+//! emit tables identical to local execution — with only the dead
 //! shard's keys degrading to the local pool — and an all-shards-down
 //! cluster must degrade entirely and still complete — the figure never
 //! has holes.
 
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
 use qprac_bench::{
-    execute_with, CellExecutor, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor,
+    tables_with, CellExecutor, ExperimentSpec, Job, LocalExecutor, RemoteExecutor, Table,
 };
 use qprac_serve::{ChaosSpec, Client, RetryPolicy, Server, ServerConfig};
 use sim::{MitigationKind, RunCache, RunKey, SystemConfig};
@@ -30,7 +29,7 @@ const PROBE: EngineSpec = EngineSpec::Wave {
 
 /// A small heterogeneous suite: two workloads under two mitigations
 /// (sharing baselines) plus an attack-engine cell.
-fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
+fn make_specs() -> Vec<ExperimentSpec> {
     let base = SystemConfig::paper_default()
         .with_instruction_limit(INSTR)
         .with_mitigation(MitigationKind::None);
@@ -47,9 +46,8 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
         }
     }
     jobs.push(PROBE.into());
-    let emit_dir = dir.clone();
     vec![ExperimentSpec::new("failover", jobs, move |r| {
-        let mut csv = CsvWriter::create_in(&emit_dir, "failover", &["workload", "qprac", "probe"])?;
+        let mut t = Table::new("failover", "failover", &["workload", "qprac", "probe"]);
         let base = SystemConfig::paper_default()
             .with_instruction_limit(INSTR)
             .with_mitigation(MitigationKind::None);
@@ -59,21 +57,16 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
             let spec = WorkloadSpec::by_name(w).unwrap();
             let b = r.stats(&base, &spec);
             let q = r.stats(&qprac, &spec).normalized_perf(b);
-            csv.row(&[w.into(), format!("{q:.6}"), probe.to_string()])?;
+            t.rows
+                .push(vec![w.into(), format!("{q:.6}"), probe.to_string()]);
         }
-        Ok(())
+        vec![t]
     })]
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qprac-failover-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn read_csv(dir: &Path) -> String {
-    std::fs::read_to_string(dir.join("failover.csv")).expect("emitted csv")
+/// The suite's tables, resolved on `executor` with no persistent cache.
+fn tables_on(executor: &dyn CellExecutor) -> Vec<Table> {
+    tables_with(&make_specs(), executor, &RunCache::disabled(), false).0
 }
 
 /// An address that refuses connections: bind an ephemeral port, then
@@ -88,15 +81,7 @@ fn dead_addr() -> String {
 #[test]
 fn flaky_cluster_emits_byte_identical_csvs() {
     // Ground truth: a pure local pass.
-    let local_dir = temp_dir("local");
-    execute_with(
-        &make_specs(local_dir.clone()),
-        &LocalExecutor,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
-    let local_csv = read_csv(&local_dir);
+    let local = tables_on(&LocalExecutor);
 
     // A two-shard cluster where one shard is dead and the survivor
     // runs seeded chaos: delayed reads, truncated frames, and one
@@ -121,23 +106,14 @@ fn flaky_cluster_emits_byte_identical_csvs() {
             base: Duration::from_millis(5),
             cap: Duration::from_millis(50),
         });
-    let remote_dir = temp_dir("remote");
-    execute_with(
-        &make_specs(remote_dir.clone()),
-        &remote,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
     assert_eq!(
-        read_csv(&remote_dir),
-        local_csv,
+        tables_on(&remote),
+        local,
         "a chaotic cluster must slow results down, never change them"
     );
     // Exactly the dead shard's keys degrade to the local pool; which
     // keys those are follows deterministically from the shard map.
-    let count_dir = temp_dir("count");
-    let specs = make_specs(count_dir.clone());
+    let specs = make_specs();
     let dead_owned = specs[0]
         .jobs
         .iter()
@@ -152,23 +128,11 @@ fn flaky_cluster_emits_byte_identical_csvs() {
     if dead_owned > 0 {
         assert_eq!(stats.shard_downs.load(Ordering::Relaxed), 1, "dead shard");
     }
-
-    for dir in [local_dir, remote_dir, count_dir] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
 
 #[test]
 fn all_shards_down_degrades_to_the_local_pool() {
-    let local_dir = temp_dir("truth");
-    execute_with(
-        &make_specs(local_dir.clone()),
-        &LocalExecutor,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
-    let local_csv = read_csv(&local_dir);
+    let local = tables_on(&LocalExecutor);
 
     // Two shards, both refusing connections: every cell
     // must exhaust its shard's ladder fast (or hit the down table)
@@ -180,17 +144,9 @@ fn all_shards_down_degrades_to_the_local_pool() {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(2),
         });
-    let down_dir = temp_dir("down");
-    execute_with(
-        &make_specs(down_dir.clone()),
-        &remote,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
     assert_eq!(
-        read_csv(&down_dir),
-        local_csv,
+        tables_on(&remote),
+        local,
         "graceful degradation must preserve results exactly"
     );
     assert_eq!(
@@ -198,10 +154,6 @@ fn all_shards_down_degrades_to_the_local_pool() {
         5,
         "all 5 cells degrade locally, the engine cell included"
     );
-
-    for dir in [local_dir, down_dir] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
 
 /// `n` distinct cheap workload cells, enough for lanes many keys long.

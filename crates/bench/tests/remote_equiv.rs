@@ -1,6 +1,6 @@
 //! Local/remote equivalence for the spec runner: the same spec suite
 //! executed through the in-process pool and through a `qprac-serve`
-//! daemon must emit byte-identical CSVs (the acceptance criterion of
+//! daemon must emit identical tables and CSVs (the acceptance criterion of
 //! the service subsystem, at test scale), and a second remote pass must
 //! be answered entirely from the server's caches.
 
@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use attack_engine::EngineSpec;
 use cpu_model::WorkloadSpec;
-use qprac_bench::{execute_with, CsvWriter, ExperimentSpec, Job, LocalExecutor, RemoteExecutor};
+use qprac_bench::{tables_with, ExperimentSpec, Job, LocalExecutor, RemoteExecutor, Table};
 use qprac_serve::{Client, Server, ServerConfig};
 use sim::{geomean, MitigationKind, RunCache, SystemConfig};
 
@@ -25,7 +25,7 @@ const PROBE: EngineSpec = EngineSpec::Wave {
 /// A small but heterogeneous suite: workload cells under two
 /// mitigations (sharing one baseline), a bandwidth-attack cell, and an
 /// attack-engine cell.
-fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
+fn make_specs() -> Vec<ExperimentSpec> {
     let base = SystemConfig::paper_default()
         .with_instruction_limit(INSTR)
         .with_mitigation(MitigationKind::None);
@@ -48,13 +48,12 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
         window: 20_000,
     });
     jobs.push(PROBE.into());
-    let emit_dir = dir.clone();
     vec![ExperimentSpec::new("remote_equiv", jobs, move |r| {
-        let mut csv = CsvWriter::create_in(
-            &emit_dir,
+        let mut t = Table::new(
+            "remote_equiv",
             "remote_equiv",
             &["workload", "qprac", "noop", "probe", "attack_acts"],
-        )?;
+        );
         let base = SystemConfig::paper_default()
             .with_instruction_limit(INSTR)
             .with_mitigation(MitigationKind::None);
@@ -69,22 +68,22 @@ fn make_specs(dir: PathBuf) -> Vec<ExperimentSpec> {
             let q = r.stats(&qprac, &spec).normalized_perf(b);
             let n = r.stats(&noop, &spec).normalized_perf(b);
             ratios.push(q);
-            csv.row(&[
+            t.rows.push(vec![
                 w.into(),
                 format!("{q:.6}"),
                 format!("{n:.6}"),
                 probe.to_string(),
                 attack.acts.to_string(),
-            ])?;
+            ]);
         }
-        csv.row(&[
+        t.rows.push(vec![
             "geomean".into(),
             format!("{:.6}", geomean(ratios)),
             String::new(),
             String::new(),
             String::new(),
-        ])?;
-        Ok(())
+        ]);
+        vec![t]
     })]
 }
 
@@ -95,24 +94,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn read_csv(dir: &Path) -> String {
-    std::fs::read_to_string(dir.join("remote_equiv.csv")).expect("emitted csv")
-}
-
 #[test]
 fn remote_execution_is_byte_identical_to_local() {
     // Local pass, no persistent cache (every cell simulates here).
-    let local_dir = temp_dir("local");
-    let report = execute_with(
-        &make_specs(local_dir.clone()),
-        &LocalExecutor,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
+    let (local, report) = tables_with(&make_specs(), &LocalExecutor, &RunCache::disabled(), false);
     assert_eq!(report.cache_hits, 0);
     assert_eq!(report.executed, 8, "6 workload cells + attack + engine");
-    let local_csv = read_csv(&local_dir);
 
     // Remote pass against a fresh in-process server.
     let addr = Server::bind("127.0.0.1:0", ServerConfig::default())
@@ -120,18 +107,11 @@ fn remote_execution_is_byte_identical_to_local() {
         .spawn()
         .unwrap();
     let remote = RemoteExecutor::new(&addr.to_string());
-    let remote_dir = temp_dir("remote");
-    execute_with(
-        &make_specs(remote_dir.clone()),
-        &remote,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
+    let remote_pass = || tables_with(&make_specs(), &remote, &RunCache::disabled(), false).0;
     assert_eq!(
-        read_csv(&remote_dir),
-        local_csv,
-        "remote CSVs must be byte-identical to local execution"
+        remote_pass(),
+        local,
+        "remote tables must be identical to local execution"
     );
 
     // The server simulated all 8 cells, the engine cell included.
@@ -139,26 +119,14 @@ fn remote_execution_is_byte_identical_to_local() {
     assert_eq!(client.stat("simulated").unwrap(), 8);
 
     // A second remote pass is answered entirely from the server's
-    // caches: CSVs identical, simulated counter unchanged.
-    let warm_dir = temp_dir("warm");
-    execute_with(
-        &make_specs(warm_dir.clone()),
-        &remote,
-        &RunCache::disabled(),
-        false,
-    )
-    .unwrap();
-    assert_eq!(read_csv(&warm_dir), local_csv);
+    // caches: tables identical, simulated counter unchanged.
+    assert_eq!(remote_pass(), local);
     assert_eq!(
         client.stat("simulated").unwrap(),
         8,
         "warm pass re-simulated"
     );
     assert!(client.stat("mem_hits").unwrap() >= 8);
-
-    for d in [local_dir, remote_dir, warm_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 /// The mitigation arena end to end, local vs `QPRAC_REMOTE`: every

@@ -566,15 +566,6 @@ impl DramDevice {
         (base..base + per_rank).map(BankId)
     }
 
-    /// Maximum PRAC counter value across all banks (security metric).
-    pub fn max_counter(&self) -> u32 {
-        self.banks
-            .iter()
-            .map(|u| u.counters.max_count())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Read access to a bank's counters (tests, experiment probes).
     pub fn counters(&self, bank: BankId) -> &PracCounters {
         &self.banks[bank.0 as usize].counters
@@ -583,11 +574,6 @@ impl DramDevice {
     /// Read access to a bank's tracker.
     pub fn tracker(&self, bank: BankId) -> &dyn InDramMitigation {
         self.banks[bank.0 as usize].tracker.as_ref()
-    }
-
-    /// Total per-bank tracker storage in bits (Table IV support).
-    pub fn tracker_storage_bits(&self) -> u64 {
-        self.banks.first().map_or(0, |u| u.tracker.storage_bits())
     }
 }
 

@@ -83,11 +83,6 @@ impl AddressMapper {
         }
     }
 
-    /// Number of channels this mapper interleaves across.
-    pub fn num_channels(&self) -> u32 {
-        self.channels
-    }
-
     /// Total cache lines addressable across all channels.
     pub fn num_lines(&self) -> u64 {
         self.channels as u64

@@ -71,15 +71,6 @@ pub struct McStats {
 }
 
 impl McStats {
-    /// Average read latency in memory cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.reads as f64
-        }
-    }
-
     /// Accumulate another channel controller's counters into this one
     /// (used to aggregate per-channel statistics into a system total).
     pub fn absorb(&mut self, other: &McStats) {

@@ -53,16 +53,6 @@ pub fn run_workload(cfg: &SystemConfig, workload: &WorkloadSpec) -> RunStats {
     System::new(cfg.clone(), traces, workload.params.mlp).run()
 }
 
-/// Run a workload under a mitigation and under the insecure baseline,
-/// returning `(mitigated, baseline)` — the pair every performance figure
-/// needs.
-pub fn run_vs_baseline(cfg: &SystemConfig, workload: &WorkloadSpec) -> (RunStats, RunStats) {
-    let base_cfg = cfg.clone().with_mitigation(MitigationKind::None);
-    let mitigated = run_workload(cfg, workload);
-    let baseline = run_workload(&base_cfg, workload);
-    (mitigated, baseline)
-}
-
 /// Run a heterogeneous multi-programmed mix: core `i` runs `mix`'s
 /// `i`-th workload with that workload's own MLP cap. The mix must have
 /// exactly `cfg.cores` slots.
