@@ -14,6 +14,12 @@
 //! (mix_speedup) and the registry-driven arena summary
 //! (compare_summary).
 //!
+//! The design-by-workload sweeps (fig16, fig17, fig20, fig21/fig22,
+//! table03, ablation_opportunistic and the per-design arena table
+//! compare_qprac) are pinned the same way, captured from their
+//! hand-written job loops and aggregates before they were declared as
+//! sweeps.
+//!
 //! `run_all` runs as a subprocess with a pinned environment
 //! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
 //! snapshots are reproducible and the test never mutates this process'
@@ -119,9 +125,57 @@ fn mix_speedup_matches_snapshot() {
 fn compare_summary_matches_snapshot() {
     run_and_compare(
         "compare_mitigations",
+        &[
+            (
+                "compare_summary",
+                include_str!("golden/compare_summary.csv"),
+            ),
+            ("compare_qprac", include_str!("golden/compare_qprac.csv")),
+        ],
+    );
+}
+
+#[test]
+fn fig16_matches_snapshot() {
+    run_and_compare("fig16", &[("fig16", include_str!("golden/fig16.csv"))]);
+}
+
+#[test]
+fn fig17_matches_snapshot() {
+    run_and_compare("fig17", &[("fig17", include_str!("golden/fig17.csv"))]);
+}
+
+#[test]
+fn fig20_matches_snapshot() {
+    run_and_compare("fig20", &[("fig20", include_str!("golden/fig20.csv"))]);
+}
+
+#[test]
+fn fig21_22_matches_snapshot() {
+    run_and_compare(
+        "fig21_22",
+        &[
+            ("fig21", include_str!("golden/fig21.csv")),
+            ("fig22", include_str!("golden/fig22.csv")),
+        ],
+    );
+}
+
+#[test]
+fn table03_matches_snapshot() {
+    run_and_compare(
+        "table03",
+        &[("table03", include_str!("golden/table03.csv"))],
+    );
+}
+
+#[test]
+fn ablation_opportunistic_matches_snapshot() {
+    run_and_compare(
+        "ablation_opportunistic",
         &[(
-            "compare_summary",
-            include_str!("golden/compare_summary.csv"),
+            "ablation_opportunistic",
+            include_str!("golden/ablation_opportunistic.csv"),
         )],
     );
 }
