@@ -44,7 +44,10 @@ impl Table {
     }
 
     /// The CSV text: the header, then one line per row, fields joined
-    /// by commas as given (no quoting).
+    /// by commas as given. Nothing is quoted, so a value holding a comma
+    /// (two rows of table01 and table02) makes its row ragged; the suite
+    /// digest in `perfbench/reference/suite.txt` pins these bytes, so
+    /// quoting waits for the next change of that digest.
     pub fn csv(&self) -> String {
         let mut out = String::new();
         for line in std::iter::once(&self.header).chain(&self.rows) {

@@ -19,7 +19,8 @@ use qprac::Psq;
 use sim::{MitigationKind, SystemConfig};
 
 use crate::csv::{f, Table};
-use crate::spec::{ExperimentSpec, Job};
+use crate::spec::ExperimentSpec;
+use crate::sweep::{Agg, Metric, Subset, Sweep};
 
 /// Ablation 1: wave-attack ceiling vs PSQ size for each PRAC level.
 pub fn psq_size_security_spec() -> ExperimentSpec {
@@ -53,29 +54,16 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
 
 /// Ablation 2: the opportunistic-mitigation bit, swept over N_BO.
 pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
-    let workloads = workloads.to_vec();
-    let nbos = [16u32, 32, 64];
-    let cfg_for = |kind: MitigationKind, nbo: u32| {
-        SystemConfig::paper_default()
-            .with_mitigation(kind)
-            .with_nbo(nbo)
-    };
-    let mut jobs = Vec::new();
-    for &nbo in &nbos {
-        for spec in &workloads {
-            for kind in [
-                MitigationKind::None,
-                MitigationKind::QpracNoOp,
-                MitigationKind::Qprac,
-            ] {
-                jobs.push(Job::Workload {
-                    cfg: cfg_for(kind, nbo),
-                    workload: spec.clone(),
-                });
-            }
-        }
-    }
-    ExperimentSpec::new("ablation_opportunistic", jobs, move |r| {
+    // Per N_BO, QPRAC-NoOp then QPRAC, both labelled with the N_BO.
+    let designs = [16u32, 32, 64].into_iter().flat_map(|nbo| {
+        [MitigationKind::QpracNoOp, MitigationKind::Qprac].map(|kind| {
+            let cfg = SystemConfig::paper_default()
+                .with_mitigation(kind)
+                .with_nbo(nbo);
+            (nbo.to_string(), cfg)
+        })
+    });
+    Sweep::new(workloads, designs).spec("ablation_opportunistic", |v| {
         let mut t = Table::new(
             "ablation_opportunistic",
             "Ablation: opportunistic mitigation on/off (QPRAC vs QPRAC-NoOp)",
@@ -87,27 +75,12 @@ pub fn opportunistic_bit_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                 "qprac_perf",
             ],
         );
-        for &nbo in &nbos {
-            let runs: Vec<(f64, f64, f64, f64)> = workloads
-                .iter()
-                .map(|spec| {
-                    let base = r.stats(&cfg_for(MitigationKind::None, nbo), spec);
-                    let noop = r.stats(&cfg_for(MitigationKind::QpracNoOp, nbo), spec);
-                    let qprac = r.stats(&cfg_for(MitigationKind::Qprac, nbo), spec);
-                    (
-                        noop.alerts_per_trefi(),
-                        qprac.alerts_per_trefi(),
-                        noop.normalized_perf(base),
-                        qprac.normalized_perf(base),
-                    )
-                })
-                .collect();
-            let n = runs.len() as f64;
-            let avg = |g: fn(&(f64, f64, f64, f64)) -> f64| runs.iter().map(g).sum::<f64>() / n;
-            let (na, qa) = (avg(|r| r.0), avg(|r| r.1));
-            let (np, qp) = (avg(|r| r.2), avg(|r| r.3));
-            t.rows
-                .push(vec![nbo.to_string(), f(na), f(qa), f(np), f(qp)]);
+        for noop in (0..v.labels().len()).step_by(2) {
+            let mut row = vec![v.labels()[noop].clone()];
+            for metric in [Metric::AlertsPerTrefi, Metric::NormPerf] {
+                row.extend([noop, noop + 1].map(|d| f(v.agg(d, metric, Agg::Mean, Subset::All))));
+            }
+            t.rows.push(row);
         }
         vec![t.with_note("(the single opportunistic bit buys ~10x fewer alerts — §VI-A)")]
     })
@@ -184,6 +157,7 @@ mod tests {
 
     use super::*;
     use crate::experiments::{run_all_specs, security_figs};
+    use crate::spec::Job;
 
     fn keys(spec: &ExperimentSpec) -> HashSet<sim::RunKey> {
         spec.jobs.iter().map(Job::key).collect()
@@ -217,5 +191,20 @@ mod tests {
             .collect::<HashSet<_>>()
             .len();
         assert_eq!(engine_cells, 98, "101 engine cells, 3 shared");
+    }
+
+    /// The whole sweep's cell population (sensitivity subset, not
+    /// `QPRAC_FULL_SUITE`): every spec's cells, and the distinct run
+    /// keys among them that the runner simulates. Sweeps declare a
+    /// baseline shared by several of their designs once, so the cells
+    /// fell from 2779 when each sensitivity config listed its own.
+    #[test]
+    fn run_all_declares_2059_cells_over_1465_keys() {
+        let keys: Vec<sim::RunKey> = run_all_specs()
+            .iter()
+            .flat_map(|s| s.jobs.iter().map(Job::key))
+            .collect();
+        assert_eq!(keys.len(), 2059);
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 1465);
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! The spec is registry-driven end to end — a design added to
 //! `mitigations::registry()` shows up here with zero bench edits. The
-//! unmitigated baseline cells carry `MitigationKind::None`, whose key
-//! normalizes every tracker knob away, so the runner's global RunKey
-//! dedupe simulates each baseline exactly once suite-wide no matter
-//! how many designs (or other figures in the same pass) request it.
+//! designs form one [`Sweep`], so every design's baseline is its config
+//! with `MitigationKind::None`: one cell per workload, the registry's
+//! own `none` entry included, which the runner's global RunKey dedupe
+//! shares with every other figure in the same pass.
 //!
 //! Output: one `compare_<stem>.csv` per design (per-workload normalized
 //! performance and alert pressure) plus `compare_summary.csv`, the
@@ -17,39 +17,20 @@
 
 use cpu_model::WorkloadSpec;
 use mitigations::TrackerParams;
-use sim::{geomean, MitigationKind, SystemConfig};
+use sim::SystemConfig;
 
 use crate::csv::{f, Table};
-use crate::spec::{ExperimentSpec, Job};
-
-/// CSV-safe file stem for a design (`@` never appears in stems today,
-/// but the registry allows future stems to be arbitrary tokens).
-fn file_stem(stem: &str) -> String {
-    stem.replace(['@', '/'], "_")
-}
+use crate::spec::ExperimentSpec;
+use crate::sweep::{perf_cols, Agg, Metric, Subset, Sweep};
 
 /// The arena spec over `workloads` (the sensitivity suite in
 /// `compare_mitigations` and `run_all`; anything in tests).
 pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
-    let workloads = workloads.to_vec();
-    let base_cfg = SystemConfig::paper_default().with_mitigation(MitigationKind::None);
-    let designs: Vec<_> = mitigations::registry()
-        .iter()
-        .map(|spec| {
-            let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
-            (spec, cfg)
-        })
-        .collect();
-    let mut jobs = Vec::new();
-    for w in &workloads {
-        for (_, cfg) in &designs {
-            jobs.push(Job::Workload {
-                cfg: cfg.clone(),
-                workload: w.clone(),
-            });
-        }
-    }
-    ExperimentSpec::new("compare_mitigations", jobs, move |r| {
+    let designs = mitigations::registry().iter().map(|spec| {
+        let cfg = SystemConfig::paper_default().with_mitigation(spec.default_kind);
+        (spec.stem.to_string(), cfg)
+    });
+    Sweep::new(workloads, designs).spec("compare_mitigations", |v| {
         let mut summary = Table::new(
             "compare_summary",
             "Mitigation arena: every registered design vs the shared insecure baseline",
@@ -65,9 +46,9 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
             ],
         );
         let mut tables = Vec::new();
-        for (spec, cfg) in &designs {
+        for (d, spec) in mitigations::registry().iter().enumerate() {
             let mut per_design = Table::new(
-                format!("compare_{}", file_stem(spec.stem)),
+                format!("compare_{}", spec.stem),
                 format!("Mitigation arena: {} per workload", spec.label),
                 &[
                     "workload",
@@ -77,38 +58,33 @@ pub fn compare_mitigations_spec(workloads: &[WorkloadSpec]) -> ExperimentSpec {
                     "alerts_per_trefi",
                 ],
             );
-            let mut perfs = Vec::new();
-            for w in &workloads {
-                let base = r.stats(&base_cfg, w);
-                let s = r.stats(cfg, w);
-                let perf = s.normalized_perf(base);
-                perfs.push(perf);
-                per_design.rows.push(vec![
-                    w.name.to_string(),
-                    f(base.rbmpki()),
-                    f(perf),
-                    f((1.0 - perf) * 100.0),
-                    f(s.alerts_per_trefi()),
-                ]);
+            for (w, workload) in v.workloads().iter().enumerate() {
+                let mut row = vec![
+                    workload.name.to_string(),
+                    f(v.value(d, w, Metric::BaseRbmpki)),
+                ];
+                row.extend(perf_cols(v.value(d, w, Metric::NormPerf)));
+                row.push(f(v.value(d, w, Metric::AlertsPerTrefi)));
+                per_design.rows.push(row);
             }
             tables.push(per_design);
-            let gm = geomean(perfs.iter().copied());
             let params = TrackerParams::paper_default(spec.default_kind);
             let sec = (spec.security)(&params);
             let trh = sec
                 .secure_trh
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "none".into());
-            summary.rows.push(vec![
+            let mut row = vec![
                 spec.stem.to_string(),
                 spec.label.to_string(),
                 spec.paper.to_string(),
                 spec.storage_bits(&params).to_string(),
                 trh,
                 f(sec.trefi_tax_pct),
-                f(gm),
-                f((1.0 - gm) * 100.0),
-            ]);
+            ];
+            let gm = v.agg(d, Metric::NormPerf, Agg::Geomean, Subset::All);
+            row.extend(perf_cols(gm));
+            summary.rows.push(row);
         }
         tables.push(summary);
         tables

@@ -76,10 +76,11 @@ pub fn select_specs(names: &[String]) -> Result<Vec<ExperimentSpec>, String> {
         .collect())
 }
 
-/// Representative 12-workload subset used by the sensitivity figures
-/// (Figs 16–18, 21, 22 and Table III report suite-level averages; this
-/// subset spans the same intensity range at a fraction of the runtime).
-/// Set `QPRAC_FULL_SUITE=1` to use all 57 workloads instead.
+/// Representative 12-workload subset behind every suite-level average
+/// except Figs 14/15: Figs 16–18 and 20–22, Table III,
+/// `ablation_opportunistic` and `compare_mitigations`. It spans the
+/// full suite's intensity range at a fraction of the runtime. Set
+/// `QPRAC_FULL_SUITE=1` to use all 57 workloads instead.
 pub fn sensitivity_suite() -> Vec<WorkloadSpec> {
     if sim::env_flag("QPRAC_FULL_SUITE") {
         return full_suite();

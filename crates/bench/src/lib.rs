@@ -9,7 +9,8 @@
 //! Criterion micro-benchmarks live in `benches/`.
 //!
 //! Every figure/table is declared as an [`ExperimentSpec`] (a grid of
-//! [`Job`] cells plus an emitter returning [`Table`]s) in [`experiments`]; the
+//! [`Job`] cells plus an emitter returning [`Table`]s) in [`experiments`],
+//! the design × workload figures as a [`sweep::Sweep`]; the
 //! [`runner`] dedupes cells globally by `sim::RunKey`, resolves them
 //! from the optional persistent cache (`QPRAC_RUN_CACHE`), executes the
 //! remainder through a pluggable [`CellExecutor`] — the in-process work
@@ -32,6 +33,7 @@ pub mod harness;
 pub mod profile;
 pub mod runner;
 pub mod spec;
+pub mod sweep;
 
 pub use csv::Table;
 pub use runner::{

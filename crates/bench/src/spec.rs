@@ -10,11 +10,14 @@
 //! persistent cache), calls each spec's emitter in order, and writes
 //! every table it gets back as a CSV and a stdout block.
 //!
-//! Adding a new figure is therefore a spec constructor: build the cell
-//! grid, write an emitter that looks each cell up by the same
-//! `(config, workload)` pair and returns its tables, and list the spec in
+//! Adding a new figure is therefore a spec constructor, listed in
 //! [`crate::experiments::run_all_specs`], which makes it runnable as
-//! `run_all <name>` and puts it under the `bin_smoke` suite. See
+//! `run_all <name>` and puts it under the `bin_smoke` suite. A figure
+//! that measures designs against the insecure baseline over a workload
+//! set is a [`crate::sweep::Sweep`]: it lists its designs, and the sweep
+//! derives the cells and computes the aggregates. Other cell kinds
+//! (mixes, bandwidth attacks, attack-engine runs) are listed as `jobs`
+//! directly and looked up in the [`ResultSet`] by the same values. See
 //! `experiments/perf_figs.rs` for templates and the README section
 //! "Experiment orchestration".
 

@@ -660,8 +660,20 @@ mod tests {
         ));
     }
 
+    /// Stems are unique and valid file-name tokens: the arena writes
+    /// `compare_<stem>.csv` with the stem as it is.
     #[test]
     fn stems_are_unique() {
+        for s in REGISTRY {
+            assert!(
+                !s.stem.is_empty()
+                    && s.stem
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-'),
+                "stem {:?} is not [a-z0-9-]+",
+                s.stem
+            );
+        }
         let mut stems: Vec<_> = REGISTRY.iter().map(|s| s.stem).collect();
         stems.sort_unstable();
         let n = stems.len();

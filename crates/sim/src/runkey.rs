@@ -11,7 +11,7 @@
 //! order (the constructor destructures the struct, so adding a field is
 //! a compile error here until the key learns about it), which makes the
 //! key independent of how the config was built. Knobs that provably
-//! cannot affect a run are normalized away — see [`canonical_config`] —
+//! cannot affect a run are normalized away — see [`SystemConfig::canonical`] —
 //! so e.g. the `MitigationKind::None` baselines of every sensitivity
 //! sweep collapse onto one cell.
 
@@ -260,41 +260,50 @@ fn mapping_token(m: MappingScheme) -> &'static str {
     }
 }
 
-/// Render a [`SystemConfig`] as a canonical `k=v;...` string.
-///
-/// Normalization: each design's registry entry declares which
-/// tracker-side knobs it provably ignores (`MitigationSpec::inert`),
-/// and those knobs are pinned to the paper defaults before rendering,
-/// so sweeps over knobs a design cannot observe collapse onto one
-/// cacheable cell. Under `MitigationKind::None` that is every tracker
-/// knob (no tracker, no alert can ever fire), so all unmitigated
-/// baselines map to one key; the deterministic ABO designs additionally
-/// pin the probabilistic `seed` (consumed only by the seeded samplers
-/// of PrIDE and Loaded Dice). `crates/sim/tests/run_cache.rs` proves
-/// each flag differentially for the workload path (equal keys ⟹ equal
-/// `RunStats`) and the bandwidth-attack path (equal keys ⟹ equal
-/// `BwAttackStats`).
+impl SystemConfig {
+    /// The config with every knob its design provably ignores pinned to
+    /// the paper default: two configs run the same cell (have the same
+    /// [`RunKey`]) exactly when their canonical configs are equal.
+    ///
+    /// Each design's registry entry declares which tracker-side knobs
+    /// it ignores (`MitigationSpec::inert`), so sweeps over knobs a
+    /// design cannot observe collapse onto one cacheable cell. Under
+    /// `MitigationKind::None` that is every tracker knob (no tracker, no
+    /// alert can ever fire), so all unmitigated baselines map to one
+    /// key; the deterministic ABO designs additionally pin the
+    /// probabilistic `seed` (consumed only by the seeded samplers of
+    /// PrIDE and Loaded Dice). `crates/sim/tests/run_cache.rs` proves
+    /// each flag differentially for the workload path (equal keys ⟹
+    /// equal `RunStats`) and the bandwidth-attack path (equal keys ⟹
+    /// equal `BwAttackStats`).
+    pub fn canonical(&self) -> SystemConfig {
+        let inert = mitigations::spec_of(self.mitigation).inert;
+        let mut c = self.clone();
+        if inert.nbo {
+            c.nbo = 32;
+        }
+        if inert.nmit {
+            c.nmit = 1;
+        }
+        if inert.psq {
+            c.psq_size = 5;
+        }
+        if inert.proactive {
+            c.proactive_per_refs = 1;
+        }
+        if inert.rfm {
+            c.alert_rfm_kind = RfmKind::AllBank;
+        }
+        if inert.seed {
+            c.seed = 0xD5;
+        }
+        c
+    }
+}
+
+/// Render a [`SystemConfig`] as a canonical `k=v;...` string: its
+/// [`SystemConfig::canonical`] form, every field in a fixed order.
 fn canonical_config(cfg: &SystemConfig) -> String {
-    let inert = mitigations::spec_of(cfg.mitigation).inert;
-    let mut c = cfg.clone();
-    if inert.nbo {
-        c.nbo = 32;
-    }
-    if inert.nmit {
-        c.nmit = 1;
-    }
-    if inert.psq {
-        c.psq_size = 5;
-    }
-    if inert.proactive {
-        c.proactive_per_refs = 1;
-    }
-    if inert.rfm {
-        c.alert_rfm_kind = RfmKind::AllBank;
-    }
-    if inert.seed {
-        c.seed = 0xD5;
-    }
     // Exhaustive destructure: a new SystemConfig field fails to compile
     // here until the canonical form accounts for it.
     let SystemConfig {
@@ -310,7 +319,7 @@ fn canonical_config(cfg: &SystemConfig) -> String {
         plain_timing,
         mapping,
         seed,
-    } = c;
+    } = cfg.canonical();
     format!(
         "cores={cores};channels={channels};instr={instr_limit};mit={};nbo={nbo};nmit={nmit};psq={psq_size};pro={proactive_per_refs};rfm={};plain={plain_timing};map={};seed={seed:#x}",
         mitigation.token(),
