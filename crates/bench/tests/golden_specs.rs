@@ -20,6 +20,13 @@
 //! hand-written job loops and aggregates before they were declared as
 //! sweeps.
 //!
+//! The rest of the 40 CSVs `run_all` writes are pinned too, captured
+//! before emitters read their cells by position: the engine grids
+//! (fig02, fig03, wave_validate, ablation_psq_size), the analytic
+//! figures and tables (fig06, fig08, fig11–fig13, table01,
+//! ablation_tie_policy) and every per-design arena table
+//! (`compare_<stem>`).
+//!
 //! `run_all` runs as a subprocess with a pinned environment
 //! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
 //! snapshots are reproducible and the test never mutates this process'
@@ -35,7 +42,9 @@ fn results_dir(test: &str) -> PathBuf {
     dir
 }
 
-fn run_and_compare(spec: &str, csvs: &[(&str, &str)]) {
+/// Run `run_all <spec>` and compare each of `csvs` (CSV stems) with
+/// `golden/<stem>.csv`.
+fn run_and_compare(spec: &str, csvs: &[&str]) {
     let dir = results_dir(spec);
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .arg(spec)
@@ -54,12 +63,15 @@ fn run_and_compare(spec: &str, csvs: &[(&str, &str)]) {
         out.status,
         String::from_utf8_lossy(&out.stderr),
     );
-    for (name, golden) in csvs {
-        let produced = std::fs::read_to_string(dir.join(format!("{name}.csv")))
-            .unwrap_or_else(|e| panic!("{name}.csv missing: {e}"));
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for name in csvs {
+        let read = |dir: &PathBuf| {
+            std::fs::read_to_string(dir.join(format!("{name}.csv")))
+                .unwrap_or_else(|e| panic!("{name}.csv missing in {}: {e}", dir.display()))
+        };
         assert_eq!(
-            produced.as_str(),
-            *golden,
+            read(&dir),
+            read(&golden_dir),
             "{name}.csv diverged from the pre-refactor snapshot"
         );
     }
@@ -68,57 +80,42 @@ fn run_and_compare(spec: &str, csvs: &[(&str, &str)]) {
 
 #[test]
 fn fig07_matches_pre_refactor_snapshot() {
-    run_and_compare("fig07", &[("fig07", include_str!("golden/fig07.csv"))]);
+    run_and_compare("fig07", &["fig07"]);
 }
 
 #[test]
 fn table04_matches_pre_refactor_snapshot() {
-    run_and_compare(
-        "table04",
-        &[("table04", include_str!("golden/table04.csv"))],
-    );
+    run_and_compare("table04", &["table04"]);
 }
 
 #[test]
 fn fig18_matches_pre_refactor_snapshot() {
-    run_and_compare("fig18", &[("fig18", include_str!("golden/fig18.csv"))]);
+    run_and_compare("fig18", &["fig18"]);
 }
 
 #[test]
 fn fig14_15_matches_snapshot() {
-    run_and_compare(
-        "fig14_15",
-        &[
-            ("fig14", include_str!("golden/fig14.csv")),
-            ("fig15", include_str!("golden/fig15.csv")),
-        ],
-    );
+    run_and_compare("fig14_15", &["fig14", "fig15"]);
 }
 
 #[test]
 fn fig19_matches_snapshot() {
-    run_and_compare("fig19", &[("fig19", include_str!("golden/fig19.csv"))]);
+    run_and_compare("fig19", &["fig19"]);
 }
 
 #[test]
 fn fig23_matches_snapshot() {
-    run_and_compare("fig23", &[("fig23", include_str!("golden/fig23.csv"))]);
+    run_and_compare("fig23", &["fig23"]);
 }
 
 #[test]
 fn table02_matches_snapshot() {
-    run_and_compare(
-        "table02",
-        &[("table02", include_str!("golden/table02.csv"))],
-    );
+    run_and_compare("table02", &["table02"]);
 }
 
 #[test]
 fn mix_speedup_matches_snapshot() {
-    run_and_compare(
-        "mix_speedup",
-        &[("mix_speedup", include_str!("golden/mix_speedup.csv"))],
-    );
+    run_and_compare("mix_speedup", &["mix_speedup"]);
 }
 
 #[test]
@@ -126,58 +123,109 @@ fn compare_summary_matches_snapshot() {
     run_and_compare(
         "compare_mitigations",
         &[
-            (
-                "compare_summary",
-                include_str!("golden/compare_summary.csv"),
-            ),
-            ("compare_qprac", include_str!("golden/compare_qprac.csv")),
+            "compare_summary",
+            // One per-design table per registry entry.
+            "compare_none",
+            "compare_qprac-noop",
+            "compare_qprac",
+            "compare_qprac-pro",
+            "compare_qprac-pro-ea",
+            "compare_qprac-ideal",
+            "compare_moat",
+            "compare_mithril",
+            "compare_pride",
+            "compare_practical",
+            "compare_cnc-prac",
+            "compare_loaded-dice",
         ],
     );
 }
 
 #[test]
 fn fig16_matches_snapshot() {
-    run_and_compare("fig16", &[("fig16", include_str!("golden/fig16.csv"))]);
+    run_and_compare("fig16", &["fig16"]);
 }
 
 #[test]
 fn fig17_matches_snapshot() {
-    run_and_compare("fig17", &[("fig17", include_str!("golden/fig17.csv"))]);
+    run_and_compare("fig17", &["fig17"]);
 }
 
 #[test]
 fn fig20_matches_snapshot() {
-    run_and_compare("fig20", &[("fig20", include_str!("golden/fig20.csv"))]);
+    run_and_compare("fig20", &["fig20"]);
 }
 
 #[test]
 fn fig21_22_matches_snapshot() {
-    run_and_compare(
-        "fig21_22",
-        &[
-            ("fig21", include_str!("golden/fig21.csv")),
-            ("fig22", include_str!("golden/fig22.csv")),
-        ],
-    );
+    run_and_compare("fig21_22", &["fig21", "fig22"]);
 }
 
 #[test]
 fn table03_matches_snapshot() {
-    run_and_compare(
-        "table03",
-        &[("table03", include_str!("golden/table03.csv"))],
-    );
+    run_and_compare("table03", &["table03"]);
 }
 
 #[test]
 fn ablation_opportunistic_matches_snapshot() {
-    run_and_compare(
-        "ablation_opportunistic",
-        &[(
-            "ablation_opportunistic",
-            include_str!("golden/ablation_opportunistic.csv"),
-        )],
-    );
+    run_and_compare("ablation_opportunistic", &["ablation_opportunistic"]);
+}
+
+#[test]
+fn fig02_matches_snapshot() {
+    run_and_compare("fig02", &["fig02"]);
+}
+
+#[test]
+fn fig03_matches_snapshot() {
+    run_and_compare("fig03", &["fig03"]);
+}
+
+#[test]
+fn fig06_matches_snapshot() {
+    run_and_compare("fig06", &["fig06"]);
+}
+
+#[test]
+fn fig08_matches_snapshot() {
+    run_and_compare("fig08", &["fig08"]);
+}
+
+#[test]
+fn fig11_matches_snapshot() {
+    run_and_compare("fig11", &["fig11"]);
+}
+
+#[test]
+fn fig12_matches_snapshot() {
+    run_and_compare("fig12", &["fig12"]);
+}
+
+#[test]
+fn fig13_matches_snapshot() {
+    run_and_compare("fig13", &["fig13"]);
+}
+
+/// Pins today's bytes, unquoted commas included: `Table::csv` writes
+/// `1 (1, 2 or 4)` as three fields (as in table02).
+#[test]
+fn table01_matches_snapshot() {
+    run_and_compare("table01", &["table01"]);
+}
+
+#[test]
+fn wave_validate_matches_snapshot() {
+    run_and_compare("wave_validate", &["wave_validate"]);
+}
+
+#[test]
+fn ablation_psq_size_matches_snapshot() {
+    run_and_compare("ablation_psq_size", &["ablation_psq_size"]);
+}
+
+#[test]
+fn ablation_tie_policy_matches_snapshot() {
+    run_and_compare("ablation_tie_policy", &["ablation_tie_policy"]);
 }
 
 /// Canonical-key fidelity through the registry refactor: the exact key
