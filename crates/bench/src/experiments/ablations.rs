@@ -30,10 +30,9 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&m| (1..=5usize).map(move |s| (m, s)))
         .collect();
-    let cell = move |nmit, psq| EngineSpec::Wave { nmit, nbo, psq, r1 };
     let jobs = grid
         .iter()
-        .map(|&(nmit, size)| cell(nmit, size).into())
+        .map(|&(nmit, psq)| EngineSpec::Wave { nmit, nbo, psq, r1 }.into())
         .collect();
     ExperimentSpec::new("ablation_psq_size", jobs, move |r| {
         let mut t = Table::new(
@@ -41,10 +40,12 @@ pub fn psq_size_security_spec() -> ExperimentSpec {
             "Ablation: wave-attack ceiling vs PSQ size (paper §III-E sizing rule)",
             &["nmit", "psq_size", "max_unmitigated"],
         );
-        for &(nmit, size) in &grid {
-            let max = r.engine(cell(nmit, size));
-            t.rows
-                .push(vec![nmit.to_string(), size.to_string(), max.to_string()]);
+        for (&(nmit, size), max) in grid.iter().zip(r) {
+            t.rows.push(vec![
+                nmit.to_string(),
+                size.to_string(),
+                max.count().to_string(),
+            ]);
         }
         vec![t.with_note(
             "(sizes >= N_mit track the ideal-PRAC ceiling; the default 5 covers PRAC-4 + proactive)",

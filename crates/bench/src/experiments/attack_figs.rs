@@ -41,30 +41,19 @@ pub fn fig19_spec() -> ExperimentSpec {
         ),
     ];
     let window = window();
+    let attack = |cfg| Job::Attack {
+        cfg,
+        banks: ATTACK_BANKS,
+        window,
+    };
     let mut jobs = Vec::new();
-    let variant_cfg = |nbo: u32, kind: MitigationKind, rfm: RfmKind| {
-        SystemConfig::paper_default()
-            .with_mitigation(kind)
-            .with_nbo(nbo)
-            .with_alert_rfm_kind(rfm)
-    };
-    let base_cfg = |nbo: u32| {
-        SystemConfig::paper_default()
-            .with_mitigation(MitigationKind::None)
-            .with_nbo(nbo)
-    };
     for &nbo in &nbos {
-        jobs.push(Job::Attack {
-            cfg: base_cfg(nbo),
-            banks: ATTACK_BANKS,
-            window,
-        });
+        let cfg = SystemConfig::paper_default().with_nbo(nbo);
+        jobs.push(attack(cfg.clone().with_mitigation(MitigationKind::None)));
         for &(_, kind, rfm) in &variants {
-            jobs.push(Job::Attack {
-                cfg: variant_cfg(nbo, kind, rfm),
-                banks: ATTACK_BANKS,
-                window,
-            });
+            jobs.push(attack(
+                cfg.clone().with_mitigation(kind).with_alert_rfm_kind(rfm),
+            ));
         }
     }
     ExperimentSpec::new("fig19", jobs, move |r| {
@@ -73,11 +62,11 @@ pub fn fig19_spec() -> ExperimentSpec {
             "Fig 19: activation-bandwidth reduction under multi-bank attack",
             &["nbo", "variant", "bw_reduction_pct"],
         );
-        for &nbo in &nbos {
-            let base = r.attack(&base_cfg(nbo), ATTACK_BANKS, window);
-            for &(label, kind, rfm) in &variants {
-                let s = r.attack(&variant_cfg(nbo, kind, rfm), ATTACK_BANKS, window);
-                let red = s.reduction_vs(base);
+        // Per N_BO: the baseline, then each variant.
+        for (&nbo, cells) in nbos.iter().zip(r.chunks(1 + variants.len())) {
+            let base = cells[0].attack();
+            for (&(label, _, _), s) in variants.iter().zip(&cells[1..]) {
+                let red = s.attack().reduction_vs(base);
                 t.rows
                     .push(vec![nbo.to_string(), label.to_string(), f(red * 100.0)]);
             }

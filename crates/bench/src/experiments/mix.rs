@@ -92,24 +92,29 @@ pub fn mix_speedup_spec() -> ExperimentSpec {
                 "max_channel_alert_share",
             ],
         );
+        // The alone cells come first, per workload name then channel
+        // count; the mix cells follow in declaration order.
+        let (alone, mixed) = r.split_at(names.len() * MIX_CHANNELS.len());
+        let mut mixed = mixed.iter();
         for mix in &mixes {
-            for channels in MIX_CHANNELS {
+            for (c, channels) in MIX_CHANNELS.into_iter().enumerate() {
+                let alone_ipc: Vec<f64> = mix
+                    .slots
+                    .iter()
+                    .map(|name| {
+                        let w = names
+                            .iter()
+                            .position(|n| n == name)
+                            .expect("mix slots listed");
+                        alone[w * MIX_CHANNELS.len() + c].stats().core_ipc[0]
+                    })
+                    .collect();
                 for kind in MIX_KINDS {
-                    let cfg = cfg_for(channels, kind);
-                    let s = r.mix(&cfg, mix);
-                    let alone_ipc: Vec<f64> = mix
-                        .slots
-                        .iter()
-                        .map(|&name| {
-                            let spec =
-                                cpu_model::WorkloadSpec::by_name(name).expect("mix slots resolve");
-                            r.stats(&alone_cfg(channels), &spec).core_ipc[0]
-                        })
-                        .collect();
+                    let s = mixed.next().expect("one cell per mix row").stats();
                     t.rows.push(vec![
                         mix.name.to_string(),
                         channels.to_string(),
-                        cfg.mitigation_label().to_string(),
+                        mitigations::spec_of(kind).label.to_string(),
                         f(s.weighted_speedup(&alone_ipc)),
                         f(s.alerts_per_trefi()),
                         f(alert_skew(s)),

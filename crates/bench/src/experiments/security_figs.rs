@@ -20,19 +20,20 @@ pub fn fig02_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| tbits.iter().map(move |&t| (q, t)))
         .collect();
-    let cell = |q, t| EngineSpec::ToggleForget { queue: q, tbit: t };
-    let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
+    let jobs = grid
+        .iter()
+        .map(|&(queue, tbit)| EngineSpec::ToggleForget { queue, tbit }.into())
+        .collect();
     ExperimentSpec::new("fig02", jobs, move |r| {
         let mut table = Table::new(
             "fig02",
             "Fig 2: Panopticon Toggle+Forget — max unmitigated ACTs to a row",
             &["queue_size", "tbit", "max_unmitigated_acts"],
         );
-        for &(q, t) in &grid {
-            let acts = r.engine(cell(q, t));
+        for (&(q, t), acts) in grid.iter().zip(r) {
             table
                 .rows
-                .push(vec![q.to_string(), t.to_string(), acts.to_string()]);
+                .push(vec![q.to_string(), t.to_string(), acts.count().to_string()]);
         }
         vec![table.with_note("(paper: >100K at Q=4, ~25K at Q=16, threshold-independent)")]
     })
@@ -46,21 +47,19 @@ pub fn fig03_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| thresholds.iter().map(move |&m| (q, m)))
         .collect();
-    let cell = |q, m| EngineSpec::FillEscape {
-        queue: q,
-        threshold: m,
-    };
-    let jobs = grid.iter().map(|&(q, m)| cell(q, m).into()).collect();
+    let jobs = grid
+        .iter()
+        .map(|&(queue, threshold)| EngineSpec::FillEscape { queue, threshold }.into())
+        .collect();
     ExperimentSpec::new("fig03", jobs, move |r| {
         let mut t = Table::new(
             "fig03",
             "Fig 3: Fill+Escape on FIFO service queues — max unmitigated ACTs",
             &["queue_size", "threshold", "max_unmitigated_acts"],
         );
-        for &(q, m) in &grid {
-            let acts = r.engine(cell(q, m));
+        for (&(q, m), acts) in grid.iter().zip(r) {
             t.rows
-                .push(vec![q.to_string(), m.to_string(), acts.to_string()]);
+                .push(vec![q.to_string(), m.to_string(), acts.count().to_string()]);
         }
         vec![t.with_note("(paper: minimum ~1283 at threshold 512; insecure below T_RH 1280)")]
     })
@@ -203,8 +202,10 @@ pub fn fig23_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&q| tbits.iter().map(move |&t| (q, t)))
         .collect();
-    let cell = |q, t| EngineSpec::BlockedTbit { queue: q, tbit: t };
-    let jobs = grid.iter().map(|&(q, t)| cell(q, t).into()).collect();
+    let jobs = grid
+        .iter()
+        .map(|&(queue, tbit)| EngineSpec::BlockedTbit { queue, tbit }.into())
+        .collect();
     ExperimentSpec::new("fig23", jobs, move |r| {
         let mut table = Table::new(
             "fig23",
@@ -216,14 +217,13 @@ pub fn fig23_spec() -> ExperimentSpec {
                 "analytic_channel",
             ],
         );
-        for &(q, t) in &grid {
-            let engine = r.engine(cell(q, t));
+        for (&(q, t), engine) in grid.iter().zip(r) {
             let m = 1u64 << t;
             let analytic = security_model::panopticon::blocked_tbit_max_acts(q as u64, m);
             table.rows.push(vec![
                 q.to_string(),
                 m.to_string(),
-                engine.to_string(),
+                engine.count().to_string(),
                 analytic.to_string(),
             ]);
         }
@@ -237,15 +237,10 @@ pub fn wave_validate_spec() -> ExperimentSpec {
         .iter()
         .flat_map(|&m| [200u64, 1000, 4000].iter().map(move |&r| (m, 32, r)))
         .collect();
-    let cell = |nmit, nbo, r1| EngineSpec::Wave {
-        nmit,
-        nbo,
-        psq: 5,
-        r1,
-    };
+    let psq = 5;
     let jobs = grid
         .iter()
-        .map(|&(nmit, nbo, r1)| cell(nmit, nbo, r1).into())
+        .map(|&(nmit, nbo, r1)| EngineSpec::Wave { nmit, nbo, psq, r1 }.into())
         .collect();
     ExperimentSpec::new("wave_validate", jobs, move |r| {
         let mut t = Table::new(
@@ -253,8 +248,8 @@ pub fn wave_validate_spec() -> ExperimentSpec {
             "Wave-attack validation: simulation vs analytical model (§IV-B)",
             &["nmit", "nbo", "r1", "simulated", "model", "rel_err"],
         );
-        for &(nmit, nbo, r1) in &grid {
-            let sim = r.engine(cell(nmit, nbo, r1));
+        for (&(nmit, nbo, r1), sim) in grid.iter().zip(r) {
+            let sim = sim.count();
             let model = (nbo as u64 - 1)
                 + n_online(
                     &PracModel::prac(nmit, nbo),

@@ -9,13 +9,15 @@
 //! Criterion micro-benchmarks live in `benches/`.
 //!
 //! Every figure/table is declared as an [`ExperimentSpec`] (a grid of
-//! [`Job`] cells plus an emitter returning [`Table`]s) in [`experiments`],
-//! the design × workload figures as a [`sweep::Sweep`]; the
-//! [`runner`] dedupes cells globally by `sim::RunKey`, resolves them
-//! from the optional persistent cache (`QPRAC_RUN_CACHE`), executes the
-//! remainder through a pluggable [`CellExecutor`] — the in-process work
-//! pool (`QPRAC_JOBS` caps its width) or a shared `qprac-serve` daemon
-//! (`QPRAC_REMOTE=host:port`) — and writes each spec's tables. `run_all`
+//! [`Job`] cells plus an emitter that turns those cells' results, in
+//! job order, into [`Table`]s) in [`experiments`], the design × workload
+//! figures as a [`sweep::Sweep`]; the [`runner`] dedupes cells globally
+//! by `sim::RunKey`, resolves them from the optional persistent cache
+//! (`QPRAC_RUN_CACHE`), executes the remainder through a pluggable
+//! [`CellExecutor`] — the in-process work pool (`QPRAC_JOBS` caps its
+//! width) or a shared `qprac-serve` daemon (`QPRAC_REMOTE=host:port`) —
+//! hands each spec's emitter its own results and writes each spec's
+//! tables. `run_all`
 //! schedules all selected specs' cells together, so cells shared across
 //! figures — notably the unmitigated baselines — simulate exactly
 //! once. See README "Experiment orchestration" and "Simulation
@@ -40,4 +42,4 @@ pub use runner::{
     execute, execute_with, executor_from_env, scrape_cluster, scrape_cluster_from_env, tables_with,
     write_cluster_metrics, CellExecutor, FaultStats, LocalExecutor, RemoteExecutor, RunReport,
 };
-pub use spec::{ExperimentSpec, Job, JobResult, ResultSet};
+pub use spec::{ExperimentSpec, Job, JobResult};

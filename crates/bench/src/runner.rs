@@ -25,8 +25,11 @@
 //! Identical cells shared by several figures — e.g. the unmitigated
 //! baseline of every sensitivity sweep — resolve exactly once per
 //! suite, and with a warm cache (local or server-side) not at all.
+//! Each job remembers its index among the unique cells, so every
+//! spec's emitter gets exactly its own jobs' results, in `jobs` order,
+//! and can read no cell that only another spec declared.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,7 +40,7 @@ use sim::{RunCache, RunKey};
 use crate::csv::{write_tables, Table};
 use crate::harness::{parallel, pool_width};
 use crate::profile;
-use crate::spec::{ExperimentSpec, Job, JobResult, ResultSet};
+use crate::spec::{ExperimentSpec, Job, JobResult};
 
 /// What one [`execute`] pass did.
 #[derive(Debug, Clone)]
@@ -653,28 +656,37 @@ pub fn tables_with(
     verbose: bool,
 ) -> (Vec<Table>, RunReport) {
     let t0 = Instant::now();
-    let mut cells = 0usize;
-    let mut seen: HashSet<RunKey> = HashSet::new();
+    // Each job's index among the unique cells, per spec, in job order.
+    let mut index: HashMap<RunKey, usize> = HashMap::new();
     let mut unique: Vec<(&Job, RunKey)> = Vec::new();
-    for spec in specs {
-        for job in &spec.jobs {
-            cells += 1;
-            let key = profile::time("key_canonicalize", || job.key());
-            if seen.insert(key.clone()) {
-                unique.push((job, key));
-            }
-        }
-    }
+    let slots: Vec<Vec<usize>> = specs
+        .iter()
+        .map(|spec| {
+            spec.jobs
+                .iter()
+                .map(|job| {
+                    let key = profile::time("key_canonicalize", || job.key());
+                    *index.entry(key).or_insert_with_key(|key| {
+                        unique.push((job, key.clone()));
+                        unique.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let cells = slots.iter().map(Vec::len).sum::<usize>();
     let unique_n = unique.len();
 
-    let mut results: HashMap<RunKey, JobResult> = HashMap::new();
+    let mut results: Vec<Option<JobResult>> = vec![None; unique_n];
     let mut to_run: Vec<(&Job, RunKey)> = Vec::new();
-    for (job, key) in unique {
+    let mut to_run_at: Vec<usize> = Vec::new();
+    for (i, (job, key)) in unique.into_iter().enumerate() {
         match profile::time("cache_lookup", || cache.load(&key)) {
-            Some(r) => {
-                results.insert(key, r);
+            Some(r) => results[i] = Some(r),
+            None => {
+                to_run.push((job, key));
+                to_run_at.push(i);
             }
-            None => to_run.push((job, key)),
         }
     }
     let cache_hits = unique_n - to_run.len();
@@ -693,11 +705,11 @@ pub fn tables_with(
         "executor must answer every cell"
     );
     let mut first_store_err: Option<io::Error> = None;
-    for ((_, key), out) in to_run.into_iter().zip(outputs) {
+    for (((_, key), out), i) in to_run.into_iter().zip(outputs).zip(to_run_at) {
         if let Err(e) = profile::time("serialize", || cache.store(&key, &out)) {
             first_store_err.get_or_insert(e);
         }
-        results.insert(key, out);
+        results[i] = Some(out);
     }
     if cache.failed_stores() > 0 {
         qprac_obs::warn!(
@@ -719,8 +731,17 @@ pub fn tables_with(
         );
     }
 
-    let set = ResultSet::new(&results);
-    let tables = specs.iter().flat_map(|spec| (spec.emit)(&set)).collect();
+    let tables = specs
+        .iter()
+        .zip(&slots)
+        .flat_map(|(spec, slots)| {
+            let own: Vec<&JobResult> = slots
+                .iter()
+                .map(|&i| results[i].as_ref().expect("every cell is resolved"))
+                .collect();
+            (spec.emit)(&own)
+        })
+        .collect();
     let report = RunReport {
         cells,
         unique: unique_n,
@@ -761,33 +782,43 @@ mod tests {
         }
     }
 
-    /// A one-cell table holding an engine count.
-    fn count_table(name: &str, count: u64) -> Table {
+    /// A table holding one engine count per row.
+    fn count_table(name: &str, counts: impl IntoIterator<Item = u64>) -> Table {
         let mut t = Table::new(name, name, &["count"]);
-        t.rows.push(vec![count.to_string()]);
+        t.rows
+            .extend(counts.into_iter().map(|c| vec![c.to_string()]));
         t
     }
 
+    /// Each emitter gets exactly its own jobs' results, in job order: a
+    /// job repeated within a spec is repeated, and a job an earlier spec
+    /// declared too is in its own place, on a cold and a warm pass.
     #[test]
     fn execute_dedupes_across_specs_and_reports_hits() {
         let (cache, dir) = temp_cache("exec");
-        let shared = wave(4);
-        // Two specs requesting overlapping engine cells.
+        let (shared, a_only, b_only) = (wave(4), wave(5), wave(8));
+        let [c_shared, c_a, c_b] = [shared, a_only, b_only].map(|w| w.run());
+        assert!(
+            c_shared != c_a && c_a != c_b && c_shared != c_b,
+            "distinct counts make the order visible"
+        );
+        // Each emitter echoes the results it receives, in order.
+        let echo = |name: &'static str| {
+            move |r: &[&JobResult]| vec![count_table(name, r.iter().map(|c| c.count()))]
+        };
         let make_specs = || {
             vec![
                 ExperimentSpec::new(
                     "a",
-                    vec![Job::from(shared), Job::from(wave(5)), Job::from(shared)],
-                    move |r| vec![count_table("a", r.engine(shared))],
+                    vec![shared.into(), a_only.into(), shared.into()],
+                    echo("a"),
                 ),
-                ExperimentSpec::new("b", vec![Job::from(shared), Job::from(wave(6))], |r| {
-                    vec![count_table("b", r.engine(wave(6)))]
-                }),
+                ExperimentSpec::new("b", vec![b_only.into(), shared.into()], echo("b")),
             ]
         };
         let expected = vec![
-            count_table("a", shared.run()),
-            count_table("b", wave(6).run()),
+            count_table("a", [c_shared, c_a, c_shared]),
+            count_table("b", [c_b, c_shared]),
         ];
         // Cold pass against an explicit cache dir (not env-driven: tests
         // must not mutate process env).

@@ -7,16 +7,17 @@
 //! cells from that pairing — each distinct design and baseline config
 //! (distinct as its `RunKey` sees it, [`SystemConfig::canonical`]) once
 //! per workload — so baselines shared by many designs are declared
-//! once. Its emitter sees a [`SweepResults`], which reads a [`Metric`]
-//! of one design against its baseline per workload and folds it with
-//! one [`Agg`] rule; a figure only picks rows, columns and labels, and
-//! cannot read a cell it did not declare.
+//! once. Its emitter sees a [`SweepResults`], built straight from the
+//! spec's results in job order, which reads a [`Metric`] of one design
+//! against its baseline per workload and folds it with one [`Agg`]
+//! rule; a figure only picks rows, columns and labels, and cannot read
+//! a cell it did not declare.
 
 use cpu_model::WorkloadSpec;
 use sim::{geomean, MitigationKind, RunStats, SystemConfig};
 
 use crate::csv::{f, Table};
-use crate::spec::{ExperimentSpec, Job, ResultSet};
+use crate::spec::{ExperimentSpec, Job, JobResult};
 
 /// A per-workload quantity of a design, read from its run and its
 /// baseline's.
@@ -106,7 +107,8 @@ impl Sweep {
         sweep
     }
 
-    /// The spec `name` running this sweep's cells; `emit` builds its
+    /// The spec `name` running this sweep's cells, workload-major (cell
+    /// `c` on workload `w` is job `w * cells + c`); `emit` builds its
     /// tables from the resolved sweep.
     pub fn spec(
         self,
@@ -135,12 +137,8 @@ pub struct SweepResults<'a> {
 }
 
 impl<'a> SweepResults<'a> {
-    fn new(sweep: &'a Sweep, r: &'a ResultSet) -> Self {
-        let stats = sweep
-            .workloads
-            .iter()
-            .flat_map(|w| sweep.cells.iter().map(move |cfg| r.stats(cfg, w)))
-            .collect();
+    fn new(sweep: &'a Sweep, results: &[&'a JobResult]) -> Self {
+        let stats = results.iter().map(|cell| cell.stats()).collect();
         SweepResults { sweep, stats }
     }
 
@@ -209,10 +207,7 @@ pub fn pct(fraction: f64) -> String {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use super::*;
-    use crate::spec::JobResult;
 
     fn designs() -> Vec<(String, SystemConfig)> {
         let cfg = |kind, nbo| {
@@ -292,18 +287,24 @@ mod tests {
             8,
             "two baselines and two designs per workload"
         );
-        let mut resolved: HashMap<_, _> = spec.jobs.iter().map(|j| (j.key(), j.run())).collect();
+        let mut results: Vec<JobResult> = spec.jobs.iter().map(Job::run).collect();
+        // The oracle finds each cell by its key, not by the sweep's order.
+        let at = |cfg: &SystemConfig, w: &WorkloadSpec| {
+            let key = sim::RunKey::workload(cfg, w.name);
+            spec.jobs.iter().position(|j| j.key() == key).unwrap()
+        };
         let prac_base = SystemConfig {
             mitigation: MitigationKind::None,
             ..qprac.clone()
         };
-        match resolved.get_mut(&sim::RunKey::workload(&prac_base, workloads[1].name)) {
-            Some(JobResult::Stats(s)) => s.device.acts = 0,
+        match &mut results[at(&prac_base, &workloads[1])] {
+            JobResult::Stats(s) => s.device.acts = 0,
             other => panic!("{other:?}"),
         }
-        let got = (spec.emit)(&ResultSet::new(&resolved)).remove(0).rows;
+        let got = (spec.emit)(&results.iter().collect::<Vec<_>>())
+            .remove(0)
+            .rows;
 
-        let r = ResultSet::new(&resolved);
         let (mut want, mut subset_sizes) = (Vec::new(), Vec::new());
         for design in [&mithril, &qprac] {
             let base = SystemConfig {
@@ -312,7 +313,12 @@ mod tests {
             };
             let runs: Vec<_> = workloads
                 .iter()
-                .map(|w| (r.stats(design, w), r.stats(&base, w)))
+                .map(|w| {
+                    (
+                        results[at(design, w)].stats(),
+                        results[at(&base, w)].stats(),
+                    )
+                })
                 .collect();
             for (s, b) in &runs {
                 let row = [

@@ -48,17 +48,13 @@ fn make_specs() -> Vec<ExperimentSpec> {
     jobs.push(PROBE.into());
     vec![ExperimentSpec::new("failover", jobs, move |r| {
         let mut t = Table::new("failover", "failover", &["workload", "qprac", "probe"]);
-        let base = SystemConfig::paper_default()
-            .with_instruction_limit(INSTR)
-            .with_mitigation(MitigationKind::None);
-        let qprac = base.clone().with_mitigation(MitigationKind::Qprac);
-        let probe = r.engine(PROBE);
-        for w in ["ycsb/a_like", "ycsb/c_like"] {
-            let spec = WorkloadSpec::by_name(w).unwrap();
-            let b = r.stats(&base, &spec);
-            let q = r.stats(&qprac, &spec).normalized_perf(b);
+        // Per workload a baseline and a QPRAC cell, then the probe.
+        let (runs, probe) = r.split_at(r.len() - 1);
+        let probe = probe[0].count();
+        for (w, pair) in workloads.iter().zip(runs.chunks(2)) {
+            let q = pair[1].stats().normalized_perf(pair[0].stats());
             t.rows
-                .push(vec![w.into(), format!("{q:.6}"), probe.to_string()]);
+                .push(vec![w.to_string(), format!("{q:.6}"), probe.to_string()]);
         }
         vec![t]
     })]

@@ -54,22 +54,18 @@ fn make_specs() -> Vec<ExperimentSpec> {
             "remote_equiv",
             &["workload", "qprac", "noop", "probe", "attack_acts"],
         );
-        let base = SystemConfig::paper_default()
-            .with_instruction_limit(INSTR)
-            .with_mitigation(MitigationKind::None);
-        let qprac = base.clone().with_mitigation(MitigationKind::Qprac);
-        let noop = base.clone().with_mitigation(MitigationKind::QpracNoOp);
-        let attack = r.attack(&qprac, 4, 20_000);
-        let probe = r.engine(PROBE);
+        // Per workload the baseline, QPRAC and NoOp cells, then the
+        // attack cell and the probe.
+        let (runs, tail) = r.split_at(r.len() - 2);
+        let (attack, probe) = (tail[0].attack(), tail[1].count());
         let mut ratios = Vec::new();
-        for w in ["ycsb/a_like", "ycsb/c_like"] {
-            let spec = WorkloadSpec::by_name(w).unwrap();
-            let b = r.stats(&base, &spec);
-            let q = r.stats(&qprac, &spec).normalized_perf(b);
-            let n = r.stats(&noop, &spec).normalized_perf(b);
+        for (w, cells) in workloads.iter().zip(runs.chunks(3)) {
+            let b = cells[0].stats();
+            let q = cells[1].stats().normalized_perf(b);
+            let n = cells[2].stats().normalized_perf(b);
             ratios.push(q);
             t.rows.push(vec![
-                w.into(),
+                w.to_string(),
                 format!("{q:.6}"),
                 format!("{n:.6}"),
                 probe.to_string(),

@@ -5,8 +5,9 @@
 //! hot-set skew and MLP on the same chip. Each mix names four slots
 //! drawn from the [`crate::workloads::all57`] suite; core `i` runs slot
 //! `i` with that workload's own MLP cap. Mixed runs are scored by
-//! weighted speedup (`sum_i shared_ipc[i] / alone_ipc[i]`), which the
-//! `sim` crate's `run_mix`/`run_alone_ipc` helpers compute.
+//! weighted speedup (`sum_i shared_ipc[i] / alone_ipc[i]`): `sim::run_mix`
+//! runs a mix, and each alone IPC is a 1-core run of the slot's
+//! workload (see the bench crate's `mix_speedup` spec).
 
 use crate::workloads::WorkloadSpec;
 

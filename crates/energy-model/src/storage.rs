@@ -12,7 +12,7 @@
 //! this table and the simulated tracker can never disagree.
 //!
 //! [`zoo_table_iv`] extends the paper table with one row per design in
-//! [`mitigations::registry`] — same bytes-per-bank columns, storage
+//! [`mitigations::registry()`] — same bytes-per-bank columns, storage
 //! read off each freshly built tracker.
 
 use mitigations::{MitigationKind, TrackerParams};

@@ -1,8 +1,8 @@
 //! # mitigations
 //!
 //! The mitigation zoo: every in-DRAM Rowhammer tracker the suite can
-//! host, plus the [`registry`] that makes each design a single
-//! self-contained module. Each tracker implements
+//! host, plus the [`registry`](mod@registry) that makes each design a
+//! single self-contained module. Each tracker implements
 //! [`dram_core::InDramMitigation`] and can be hosted by the timing-level
 //! [`dram_core::DramDevice`] or the activation-level engine in
 //! `attack-engine`:
@@ -22,7 +22,7 @@
 //! (`qprac::QpracIdeal`) since it shares QPRAC's mitigation policy.
 //! Controller cadences for the rate-based designs are in [`rates`].
 //!
-//! The [`registry`] module owns [`MitigationKind`] and one
+//! The [`registry`](mod@registry) module owns [`MitigationKind`] and one
 //! [`registry::MitigationSpec`] per design — tracker factory, canonical
 //! key token, inert-knob normalization, storage/security hooks — so the
 //! simulator, the run-key layer, and the bench `compare_mitigations`

@@ -1,7 +1,7 @@
 //! The QPRAC mitigation tracker (paper §III).
 //!
 //! One [`Qprac`] instance serves one DRAM bank. It wires the
-//! [`Psq`](crate::Psq) into the host's PRAC/ABO machinery through the
+//! [`Psq`] into the host's PRAC/ABO machinery through the
 //! [`InDramMitigation`] interface:
 //!
 //! - every activation (and every transitive victim refresh) is offered to

@@ -17,10 +17,12 @@
 //!   memory-tier hit (`OKB`) are answered on the spot, so a warm
 //!   request never leaves the reactor thread;
 //! - only a memory miss goes to the dispatch pool, which drives the
-//!   rest of the [`resolve`] path (disk → semaphore-bounded
-//!   single-flight simulation) and posts the response back through a
-//!   [`WakePipe`]. While it is out the connection is busy: nothing
-//!   further is parsed on it.
+//!   rest of the [`resolve`] path (disk → single-flight simulation)
+//!   and posts the response back through a [`WakePipe`]. The pool's
+//!   fixed size is the one bound on concurrent simulations; jobs it has
+//!   not taken yet wait in its queue, counted by the `queue_depth`
+//!   gauge. While a job is out the connection is busy: nothing further
+//!   is parsed on it.
 //!
 //! Requests on a connection are therefore answered strictly in order:
 //! an inline answer is only ever produced while no pool job is out for
@@ -108,6 +110,7 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
             let mut queue = shared.queue.lock().unwrap();
             loop {
                 if let Some(job) = queue.pop_front() {
+                    inner.metrics.queue_depth.add(-1);
                     break job;
                 }
                 if shared.stop.load(Ordering::SeqCst) {
@@ -513,6 +516,9 @@ impl Reactor {
         }
         c.busy = true;
         self.jobs_in_flight += 1;
+        // Counted before the push, so the worker's decrement on taking
+        // the job never drives the gauge below zero.
+        inner.metrics.queue_depth.add(1);
         self.shared.submit(DispatchJob {
             slot,
             gen: c.gen,

@@ -7,8 +7,8 @@
 //! 2. **Disk** — the persistent [`sim::RunCache`] (same files, same
 //!    format as the bench runner's `QPRAC_RUN_CACHE`, so a warm bench
 //!    cache can seed a server and vice versa);
-//! 3. **Simulation** — the cell executes on a bounded worker budget
-//!    (a counting semaphore sized like the bench pool), wrapped in
+//! 3. **Simulation** — the cell executes on one of the dispatch pool's
+//!    `workers` threads (sized like the bench pool), wrapped in
 //!    single-flight coalescing so N concurrent requests for the same
 //!    key trigger exactly one run.
 //!
@@ -18,13 +18,14 @@
 //! simulations go to the dispatch pool. Both paths count and time a
 //! request the same way.
 //!
-//! One serve loop runs everything: the poll-readiness core in
-//! [`crate::reactor`], one event loop plus a fixed dispatch pool, so
-//! thousands of idle connections cost buffers, not OS threads. Armed
-//! fault injection (`QPRAC_CHAOS`) runs inside that same loop. The
-//! semaphore is what bounds simulation parallelism, so a thousand
-//! clients asking for twelve distinct cells produce at most `workers`
-//! concurrent simulations and zero duplicates.
+//! One serve loop runs everything: a poll-readiness core, one event
+//! loop plus a fixed dispatch pool, so thousands of idle connections
+//! cost buffers, not OS threads. Armed fault injection (`QPRAC_CHAOS`)
+//! runs inside that same loop. Only the dispatch pool resolves, and it
+//! has exactly `workers` threads, so a thousand clients asking for
+//! twelve distinct cells produce at most `workers` concurrent
+//! simulations and zero duplicates; the rest wait in the dispatch
+//! queue, whose length `HEALTH` reports as `queue_depth`.
 //!
 //! Every counter, gauge and latency histogram lives in the server's own
 //! [`Registry`]; `STATS`, `HEALTH` and `METRICS` are three renderings
@@ -34,7 +35,7 @@ use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use qprac_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
@@ -167,8 +168,11 @@ pub(crate) struct Metrics {
     pub(crate) connections: Gauge,
     /// Reply bytes queued on all connections but not yet written.
     pub(crate) reply_backlog: Gauge,
-    /// Resolves in progress, queued on the worker semaphore included.
+    /// Resolves in progress on the dispatch pool.
     active: Gauge,
+    /// Resolves handed to the dispatch pool but not yet taken by a
+    /// worker.
+    pub(crate) queue_depth: Gauge,
     pub(crate) lat_runb: Arc<Histogram>,
     lat_stats: Arc<Histogram>,
     lat_health: Arc<Histogram>,
@@ -196,6 +200,7 @@ impl Metrics {
             connections: registry.gauge("qprac_connections"),
             reply_backlog: registry.gauge("qprac_reply_backlog_bytes"),
             active: registry.gauge("qprac_active"),
+            queue_depth: registry.gauge("qprac_queue_depth"),
             lat_runb: lat("runb"),
             lat_stats: lat("stats"),
             lat_health: lat("health"),
@@ -229,7 +234,6 @@ pub(crate) struct Inner {
     lru: Mutex<LruCache<RunKey, Arc<CellResult>>>,
     disk: RunCache,
     flights: Group<RunKey, Result<Arc<CellResult>, String>>,
-    workers: Semaphore,
     pub(crate) worker_count: usize,
     stores: AtomicU64,
     pub(crate) chaos: Option<Chaos>,
@@ -265,7 +269,6 @@ impl Server {
                 lru: Mutex::new(LruCache::new(config.lru_entries)),
                 disk: config.disk,
                 flights: Group::new(Err("simulation worker panicked".into())),
-                workers: Semaphore::new(workers),
                 worker_count: workers,
                 stores: AtomicU64::new(0),
                 chaos: config.chaos.map(|spec| Chaos::new(spec, &metrics.registry)),
@@ -287,8 +290,8 @@ impl Server {
     /// returns `Ok` — so the daemon can exit cleanly instead of being
     /// killed mid-simulation.
     ///
-    /// Runs the poll-readiness core ([`crate::reactor`]): one event-loop
-    /// thread plus a fixed dispatch pool.
+    /// Runs the poll-readiness core: one event-loop thread plus a
+    /// fixed dispatch pool.
     #[cfg(unix)]
     pub fn serve(self) -> io::Result<()> {
         crate::reactor::serve(self.listener, self.inner)
@@ -333,20 +336,15 @@ pub(crate) fn control_payload(inner: &Inner, req: &Request) -> String {
 }
 
 /// The server's exported state: the registry plus the values derived
-/// at read time (in-flight flights, queue depth, uptime, store errors).
+/// at read time (in-flight flights, uptime, store errors).
 pub(crate) fn snapshot(inner: &Inner) -> Snapshot {
     let mut snap = inner.metrics.registry.snapshot();
     snap.counters.insert(
         "qprac_store_errors_total".into(),
         inner.disk.failed_stores(),
     );
-    let active = inner.metrics.active.get();
     for (name, value) in [
         ("qprac_in_flight", inner.flights.in_flight() as i64),
-        (
-            "qprac_queue_depth",
-            (active - inner.worker_count as i64).max(0),
-        ),
         ("qprac_uptime_ms", inner.start.elapsed().as_millis() as i64),
         (
             "qprac_draining",
@@ -472,7 +470,6 @@ pub(crate) fn resolve(
             m.disk_hits.inc();
             return Ok(Arc::new(hit));
         }
-        let _permit = inner.workers.acquire();
         if let Some(chaos) = &inner.chaos {
             // The leader-death fault: panic OUTSIDE the catch_unwind
             // below, so the unwind escapes the flight closure and the
@@ -511,62 +508,9 @@ pub(crate) fn resolve(
     result
 }
 
-/// Counting semaphore bounding concurrent simulations (std has no
-/// stable `Semaphore`; a mutex + condvar is all the server needs).
-struct Semaphore {
-    permits: Mutex<usize>,
-    freed: Condvar,
-}
-
-struct Permit<'a>(&'a Semaphore);
-
-impl Semaphore {
-    fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> Permit<'_> {
-        let mut permits = self.permits.lock().unwrap();
-        while *permits == 0 {
-            permits = self.freed.wait(permits).unwrap();
-        }
-        *permits -= 1;
-        Permit(self)
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        *self.0.permits.lock().unwrap() += 1;
-        self.0.freed.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let sem = Semaphore::new(2);
-        let peak = AtomicU64::new(0);
-        let current = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let _p = sem.acquire();
-                    let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    current.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "semaphore leaked permits");
-    }
 
     #[test]
     fn counters_render_all_fields() {

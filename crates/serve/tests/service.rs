@@ -1,7 +1,8 @@
 //! End-to-end service tests on an ephemeral port: single-flight
 //! coalescing under concurrent clients, the three cache tiers'
 //! hit counters, engine cells, pipelined batches and the reply-backlog
-//! cap, and graceful handling of malformed and truncated requests.
+//! cap, the dispatch queue depth `HEALTH` reports, and graceful handling
+//! of malformed and truncated requests.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -302,6 +303,44 @@ fn health_reports_status_and_load_signals() {
     let _uptime: u64 = field("uptime_ms").parse().unwrap();
     // Chaos counters only appear when chaos is armed.
     assert!(!health.contains("chaos_"), "quiet server, quiet health");
+}
+
+/// `queue_depth` counts misses the dispatch pool has not taken yet: with
+/// one worker stalled on a delayed miss, the other distinct misses wait
+/// in the queue, and `HEALTH` (answered inline) sees them there.
+#[test]
+fn health_reports_the_dispatch_queue_depth() {
+    let addr = spawn_server(ServerConfig {
+        workers: 1,
+        chaos: Some(ChaosSpec::parse("1:delay=1/250").unwrap()),
+        ..ServerConfig::default()
+    });
+    let queue_depth = || {
+        let health = Client::connect(addr).unwrap().health().unwrap();
+        health
+            .lines()
+            .find_map(|l| l.strip_prefix("queue_depth="))
+            .unwrap_or_else(|| panic!("queue_depth missing in {health:?}"))
+            .parse::<u64>()
+            .unwrap()
+    };
+    assert_eq!(queue_depth(), 0);
+    std::thread::scope(|s| {
+        let misses: Vec<_> = [300, 301, 302]
+            .map(|instr| s.spawn(move || Client::connect(addr).unwrap().run(&small_key(instr))))
+            .into_iter()
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut peak = 0;
+        while peak == 0 && Instant::now() < deadline {
+            peak = queue_depth();
+        }
+        assert!(peak >= 1, "no miss was seen waiting for the one worker");
+        for miss in misses {
+            assert!(matches!(miss.join().unwrap(), Ok(CellResult::Stats(_))));
+        }
+    });
+    assert_eq!(queue_depth(), 0, "every queued miss was taken");
 }
 
 /// Graceful teardown: `SHUTDOWN` answers `draining`, in-flight work

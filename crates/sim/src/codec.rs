@@ -69,6 +69,30 @@ impl CellResult {
         }
     }
 
+    /// The stats of a workload or mix cell; panics on another kind.
+    pub fn stats(&self) -> &RunStats {
+        match self {
+            CellResult::Stats(s) => s,
+            other => panic!("expected a stats cell, got {}", other.kind()),
+        }
+    }
+
+    /// The result of a bandwidth-attack cell; panics on another kind.
+    pub fn attack(&self) -> &BwAttackStats {
+        match self {
+            CellResult::Attack(a) => a,
+            other => panic!("expected an attack cell, got {}", other.kind()),
+        }
+    }
+
+    /// The count of an attack-engine cell; panics on another kind.
+    pub fn count(&self) -> u64 {
+        match self {
+            CellResult::Count(c) => *c,
+            other => panic!("expected a count cell, got {}", other.kind()),
+        }
+    }
+
     /// The lossless text rendering of this result (without its
     /// `kind()` tag), as `qprac-client` prints it.
     pub fn payload(&self) -> String {
@@ -524,6 +548,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each accessor reads its own kind and names both kinds on a
+    /// mismatch.
+    #[test]
+    fn accessors_check_the_cell_kind() {
+        let cells = sample_cells();
+        assert_eq!(cells[0].stats().cpu_cycles, 33268);
+        assert_eq!(cells[2].count(), u64::MAX);
+        assert_eq!(cells[1].attack().rfms, 4);
+        let err = std::panic::catch_unwind(|| cells[0].count()).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("expected a count cell, got stats")
+        );
     }
 
     #[test]

@@ -74,15 +74,3 @@ pub fn run_mix(cfg: &SystemConfig, mix: &WorkloadMix) -> RunStats {
     let mlps: Vec<usize> = specs.iter().map(|spec| spec.params.mlp).collect();
     System::new_with_mlps(cfg.clone(), traces, &mlps).run()
 }
-
-/// The "alone" IPC of one workload: a single core running it with the
-/// whole memory system to itself, under the same configuration (channel
-/// count, timings, mitigation). This is the denominator of the weighted
-/// speedup metric for heterogeneous mixes.
-pub fn run_alone_ipc(cfg: &SystemConfig, workload: &WorkloadSpec) -> f64 {
-    let alone_cfg = SystemConfig {
-        cores: 1,
-        ..cfg.clone()
-    };
-    run_workload(&alone_cfg, workload).core_ipc[0]
-}
