@@ -27,10 +27,16 @@
 //! ablation_tie_policy) and every per-design arena table
 //! (`compare_<stem>`).
 //!
+//! At 400 instructions per core no mitigation fires, so every design
+//! reads the baseline's performance. `compare_summary` is therefore
+//! pinned a second time at 1000 instructions per core, where Mithril
+//! and PrIDE already pay for their refreshes: a refactor that read a
+//! design's baseline in place of its own run would change it.
+//!
 //! `run_all` runs as a subprocess with a pinned environment
-//! (`QPRAC_INSTR=400`, no full suite, no persistent cache) so the
-//! snapshots are reproducible and the test never mutates this process'
-//! environment.
+//! (`QPRAC_INSTR=400` unless a test names another count, no full
+//! suite, no persistent cache) so the snapshots are reproducible and
+//! the test never mutates this process' environment.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -42,13 +48,19 @@ fn results_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// Run `run_all <spec>` and compare each of `csvs` (CSV stems) with
-/// `golden/<stem>.csv`.
+/// Run `run_all <spec>` at the golden environment and compare each of
+/// `csvs` (CSV stems) with `golden/<stem>.csv`.
 fn run_and_compare(spec: &str, csvs: &[&str]) {
-    let dir = results_dir(spec);
+    run_and_compare_at(400, spec, csvs);
+}
+
+/// [`run_and_compare`] at `instr` instructions per core. Snapshots
+/// taken at any count but 400 live in `golden/instr<instr>/`.
+fn run_and_compare_at(instr: u64, spec: &str, csvs: &[&str]) {
+    let dir = results_dir(&format!("{spec}-{instr}"));
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .arg(spec)
-        .env("QPRAC_INSTR", "400")
+        .env("QPRAC_INSTR", instr.to_string())
         .env("QPRAC_ATTACK_WINDOW", "20000")
         .env("QPRAC_RESULTS_DIR", &dir)
         .env_remove("QPRAC_FULL_SUITE")
@@ -63,7 +75,10 @@ fn run_and_compare(spec: &str, csvs: &[&str]) {
         out.status,
         String::from_utf8_lossy(&out.stderr),
     );
-    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    if instr != 400 {
+        golden_dir.push(format!("instr{instr}"));
+    }
     for name in csvs {
         let read = |dir: &PathBuf| {
             std::fs::read_to_string(dir.join(format!("{name}.csv")))
@@ -139,6 +154,24 @@ fn compare_summary_matches_snapshot() {
             "compare_loaded-dice",
         ],
     );
+}
+
+/// The arena summary where mitigations already cost performance: at
+/// 1000 instructions per core Mithril reads 0.9452.
+#[test]
+fn compare_summary_at_1000_instr_matches_snapshot() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/instr1000/compare_summary.csv");
+    let text = std::fs::read_to_string(golden).expect("read the 1000-instr snapshot");
+    // The snapshot must pin an effect: some design's geomean_perf
+    // (7th column) is below the baseline's 1.0000.
+    assert!(
+        text.lines()
+            .skip(1)
+            .any(|row| row.split(',').nth(6).is_some_and(|p| p != "1.0000")),
+        "no design in the snapshot pays any performance:\n{text}"
+    );
+    run_and_compare_at(1000, "compare_mitigations", &["compare_summary"]);
 }
 
 #[test]
