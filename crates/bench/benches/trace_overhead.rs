@@ -71,7 +71,7 @@ fn bench_metrics_render(c: &mut Criterion) {
     for name in ["qprac_connections", "qprac_in_flight", "qprac_queue_depth"] {
         reg.gauge(name).set(42);
     }
-    for verb in ["run", "runb", "stats", "health", "metrics", "ping"] {
+    for verb in qprac_serve::VERBS {
         let h = reg.histogram(&format!("qprac_lat_{verb}_us"));
         for i in 0..1000u64 {
             h.record_us(i * 17 % 50_000);

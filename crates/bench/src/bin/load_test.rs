@@ -14,14 +14,15 @@
 //!    concurrent clients, each key from **two distinct clients**, all
 //!    routed through the same consistent-hash [`ShardMap`] the bench
 //!    runner uses;
-//! 4. sums per-shard `STATS` deltas and asserts cluster-wide
+//! 4. sums per-shard `qprac_simulated_total` deltas, each read from
+//!    that shard's `METRICS`, and asserts cluster-wide
 //!    `simulated == unique keys`: shard affinity plus
 //!    server-side single-flight turned 2x request fan-in into exactly
 //!    one simulation per cell, with zero cross-shard duplication.
 //!
 //! 5. scrapes every shard's `METRICS` exposition before and after the
-//!    load, merges the snapshots, and asserts the Prometheus view
-//!    agrees with the `STATS` view: the cluster-wide
+//!    load, merges the snapshots, and asserts the merged view agrees
+//!    with the per-shard sum: the cluster-wide
 //!    `qprac_run_requests_total` delta equals the requests this run
 //!    sent and the `qprac_simulated_total` delta equals the unique key
 //!    count. The merged post-load snapshot is written to
@@ -47,7 +48,7 @@ use qprac_bench::{profile, scrape_cluster, write_cluster_metrics};
 use qprac_serve::{Client, ShardMap};
 use sim::RunKey;
 
-/// Per-shard `simulated` counter snapshot (the cluster may be warm or
+/// Per-shard `qprac_simulated_total` (the cluster may be warm or
 /// shared; only the delta belongs to this run).
 fn per_shard_simulated(shards: &[String]) -> Vec<u64> {
     shards
@@ -55,8 +56,8 @@ fn per_shard_simulated(shards: &[String]) -> Vec<u64> {
         .map(|addr| {
             let mut c = Client::connect(addr.as_str())
                 .unwrap_or_else(|e| panic!("shard {addr} unreachable: {e}"));
-            c.stat("simulated")
-                .unwrap_or_else(|e| panic!("shard {addr} STATS failed: {e}"))
+            c.stat("qprac_simulated_total")
+                .unwrap_or_else(|e| panic!("shard {addr} METRICS failed: {e}"))
         })
         .collect()
 }
@@ -230,8 +231,8 @@ fn main() {
          single-flight is broken (or the cluster was not cold)"
     );
 
-    // The Prometheus view must agree with the STATS view: the merged
-    // METRICS deltas account for exactly this run's traffic.
+    // The merged cluster scrape must agree with the per-shard reads:
+    // its deltas account for exactly this run's traffic.
     let metrics_after = scrape_cluster(&shards)
         .unwrap_or_else(|e| panic!("post-load cluster METRICS scrape failed: {e}"));
     let run_delta = metrics_after.counter("qprac_run_requests_total")

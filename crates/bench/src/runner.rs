@@ -16,7 +16,7 @@
 //!   connections (*lanes*). Per shard, the full fault stack applies —
 //!   deadlines, jittered retry, one shared health state — and a shard
 //!   that keeps failing is marked down: only *its* keys degrade to the
-//!   local pool until a `HEALTH` probe readmits it.
+//!   local pool until a `PING` probe readmits it.
 //!
 //! Every cell — workload, mix, bandwidth attack or attack engine — is
 //! plain data named by its key, so each one caches, shards and crosses
@@ -118,9 +118,9 @@ pub struct FaultStats {
     pub retries: AtomicU64,
     /// Shards marked down, after [`RemoteExecutor::BREAKER_THRESHOLD`]
     /// consecutive failures or an exhausted ladder (their keys degrade
-    /// to the local pool until a `HEALTH` probe readmits them).
+    /// to the local pool until a `PING` probe readmits them).
     pub shard_downs: AtomicU64,
-    /// Down shards readmitted by a successful `HEALTH` probe.
+    /// Down shards readmitted by a successful `PING` probe.
     pub shard_recoveries: AtomicU64,
     /// Cells that exhausted every remote avenue and ran on the local
     /// pool instead.
@@ -155,7 +155,7 @@ struct ShardHealth {
     /// all workers.
     consecutive_fails: u32,
     /// `Some(t)` = down until `t`: its keys fail fast to the local pool,
-    /// and after `t` one `HEALTH` probe decides readmission.
+    /// and after `t` one `PING` probe decides readmission.
     down_until: Option<Instant>,
 }
 
@@ -205,7 +205,7 @@ std::thread_local! {
 ///   single answer (every answer resets the count), or when a key
 ///   exhausts its ladder. While down, the shard's keys degrade
 ///   straight to the local pool (no timeout burn); the only way back
-///   up is a post-cooldown `HEALTH` probe, which resets the entry for
+///   up is a post-cooldown `PING` probe, which resets the entry for
 ///   every worker. Other shards' keys are untouched — a one-shard outage
 ///   degrades 1/N of the keyspace, not the cluster.
 /// - authoritative server errors (the daemon *answered*: unknown
@@ -237,7 +237,7 @@ impl RemoteExecutor {
     /// Consecutive answerless failed lane attempts, across all workers,
     /// that take a shard down.
     pub const BREAKER_THRESHOLD: u32 = 3;
-    /// Default down cooldown before the `HEALTH` probe.
+    /// Default down cooldown before the `PING` probe.
     pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(1_000);
 
     /// Build from a comma-separated shard list (`host:port[,...]`;
@@ -321,7 +321,7 @@ impl RemoteExecutor {
         })
     }
 
-    fn health(&self) -> std::sync::MutexGuard<'_, Vec<ShardHealth>> {
+    fn shard_health(&self) -> std::sync::MutexGuard<'_, Vec<ShardHealth>> {
         self.health
             .lock()
             .expect("no thread panics while holding the shard-health lock")
@@ -329,13 +329,13 @@ impl RemoteExecutor {
 
     /// The shard answered: its failure streak is over.
     fn note_success(&self, idx: usize) {
-        self.health()[idx].consecutive_fails = 0;
+        self.shard_health()[idx].consecutive_fails = 0;
     }
 
     /// Count a retryable failure; the threshold takes the shard down.
     /// Returns whether the shard is now down.
     fn note_failure(&self, idx: usize, why: &str) -> bool {
-        let mut health = self.health();
+        let mut health = self.shard_health();
         health[idx].consecutive_fails += 1;
         if health[idx].consecutive_fails >= Self::BREAKER_THRESHOLD {
             self.mark_down(&mut health[idx], idx, why);
@@ -353,18 +353,18 @@ impl RemoteExecutor {
                 .counter("qprac_bench_shard_downs_total")
                 .inc();
             qprac_obs::warn!(
-                "warning: shard {} marked down ({why}); its keys run locally until a HEALTH probe succeeds",
+                "warning: shard {} marked down ({why}); its keys run locally until a PING probe succeeds",
                 self.shards[idx]
             );
         }
     }
 
     /// Gatekeeper on the shard's health: fail fast while it is inside
-    /// its down cooldown; once that expires, one cheap `HEALTH` probe
+    /// its down cooldown; once that expires, one cheap `PING` probe
     /// decides between readmission — a reset entry, for every worker —
     /// and re-arming the cooldown.
     fn check_shard_up(&self, idx: usize, addr: &str) -> Result<(), String> {
-        let Some(until) = self.health()[idx].down_until else {
+        let Some(until) = self.shard_health()[idx].down_until else {
             return Ok(());
         };
         if Instant::now() < until {
@@ -372,8 +372,8 @@ impl RemoteExecutor {
         }
         let probed = qprac_serve::Client::connect_timeout(addr, self.timeout)
             .map_err(|e| e.to_string())
-            .and_then(|mut c| c.health().map_err(|e| e.to_string()));
-        let mut health = self.health();
+            .and_then(|mut c| c.ping().map_err(|e| e.to_string()));
+        let mut health = self.shard_health();
         match probed {
             Ok(_) => {
                 if health[idx].down_until.is_some() {
@@ -455,7 +455,7 @@ impl RemoteExecutor {
                 .iter()
                 .any(|&(_, f)| f >= self.policy.attempts.max(1))
             {
-                let mut health = self.health();
+                let mut health = self.shard_health();
                 self.mark_down(&mut health[idx], idx, &why);
                 give_up = Some(why);
             }
@@ -564,11 +564,21 @@ pub fn executor_from_env() -> Box<dyn CellExecutor> {
 /// one cluster-wide [`qprac_obs::Snapshot`] (counters and histograms
 /// sum across shards). Any unreachable shard or malformed exposition
 /// is an error naming the shard — a partial cluster view would make
-/// the accounting assertions silently weaker.
+/// the accounting assertions silently weaker. Every connect, request
+/// and reply is bounded by `QPRAC_REMOTE_TIMEOUT_MS`, so a shard that
+/// accepts but never answers fails the scrape instead of hanging it.
 pub fn scrape_cluster(shards: &[String]) -> Result<qprac_obs::Snapshot, String> {
+    scrape_cluster_within(shards, qprac_serve::timeout_from_env())
+}
+
+/// [`scrape_cluster`] with an explicit per-operation deadline.
+fn scrape_cluster_within(
+    shards: &[String],
+    timeout: Duration,
+) -> Result<qprac_obs::Snapshot, String> {
     let mut merged = qprac_obs::Snapshot::default();
     for addr in shards {
-        let mut client = qprac_serve::Client::connect(addr.as_str())
+        let mut client = qprac_serve::Client::connect_timeout(addr.as_str(), timeout)
             .map_err(|e| format!("shard {addr}: connect failed: {e}"))?;
         let text = client
             .metrics()
@@ -882,6 +892,22 @@ mod tests {
         addr
     }
 
+    /// A shard that accepts and never answers fails the cluster scrape
+    /// within the deadline, naming the shard, instead of hanging it.
+    #[test]
+    fn scrape_of_a_hung_shard_errs_within_the_deadline() {
+        let hung = hung_listener();
+        let t0 = Instant::now();
+        let err = scrape_cluster_within(std::slice::from_ref(&hung), Duration::from_millis(150))
+            .unwrap_err();
+        assert!(err.starts_with(&format!("shard {hung}: ")), "{err}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the deadline must bound the scrape (took {:?})",
+            t0.elapsed()
+        );
+    }
+
     fn tiny_workload_job() -> (Job, RunKey) {
         use cpu_model::WorkloadSpec;
         use sim::{MitigationKind, SystemConfig};
@@ -935,7 +961,7 @@ mod tests {
         );
     }
 
-    /// A `HEALTH` readmission resets the shard's one shared entry, so
+    /// A `PING` readmission resets the shard's one shared entry, so
     /// a worker whose failures took the shard down serves remotely the
     /// moment another worker's probe readmits it.
     #[test]
@@ -968,7 +994,7 @@ mod tests {
                 matches!(worker_a, Ok(JobResult::Stats(_))),
                 "probe readmits"
             );
-            assert_eq!(exec.health()[0], ShardHealth::default());
+            assert_eq!(exec.shard_health()[0], ShardHealth::default());
             readmitted.wait();
             let served = worker_b.join().unwrap();
             assert!(matches!(served, Ok(JobResult::Stats(_))), "{served:?}");
@@ -1034,11 +1060,15 @@ mod tests {
         assert_eq!(stats.shard_downs.load(Ordering::Relaxed), 1);
         // The live shard actually served its key (not the local pool).
         let mut probe = qprac_serve::Client::connect(live).unwrap();
-        assert_eq!(probe.stat("simulated").unwrap(), 1, "live shard served");
+        assert_eq!(
+            probe.stat("qprac_simulated_total").unwrap(),
+            1,
+            "live shard served"
+        );
     }
 
     /// Shard-down semantics: inside the cooldown its keys fail fast
-    /// (no timeout burn); after the cooldown a successful `HEALTH`
+    /// (no timeout burn); after the cooldown a successful `PING`
     /// probe readmits the shard and traffic goes remote again.
     #[test]
     fn down_shard_fails_fast_then_recovers_via_health_probe() {
@@ -1065,7 +1095,7 @@ mod tests {
             t0.elapsed()
         );
         let _ = job; // the fallback path is covered elsewhere
-                     // After the cooldown: the HEALTH probe readmits the shard.
+                     // After the cooldown: the PING probe readmits the shard.
         std::thread::sleep(Duration::from_millis(200));
         let out = run_remote(&exec, &key).expect("readmitted shard serves");
         assert!(matches!(out, JobResult::Stats(_)));

@@ -180,17 +180,12 @@ fn chaos_shard(faults: &str) -> String {
         .to_string()
 }
 
-/// One `HEALTH` field of a shard. The reply may be cut by the shard's
-/// own chaos, so the probe retries.
-fn health_field(addr: &str, name: &str) -> u64 {
-    let health = (0..10)
-        .find_map(|_| Client::connect(addr).ok()?.health().ok())
-        .expect("HEALTH answered within ten tries");
-    health
-        .lines()
-        .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{name} missing in {health:?}"))
+/// One counter of a shard, by registry name. The reply may be cut by
+/// the shard's own chaos, so the probe retries.
+fn shard_stat(addr: &str, name: &str) -> u64 {
+    (0..10)
+        .find_map(|_| Client::connect(addr).ok()?.stat(name).ok())
+        .unwrap_or_else(|| panic!("{name} not read from {addr} within ten tries"))
 }
 
 /// Seeded `trunc` chaos cuts replies mid-batch: the lane drops the
@@ -216,7 +211,7 @@ fn truncated_lanes_are_re_driven_to_local_results() {
         "cut lanes changed results"
     );
     assert!(
-        health_field(&shard, "chaos_truncated") > 0,
+        shard_stat(&shard, "qprac_chaos_truncated_total") > 0,
         "no frame was cut"
     );
     assert!(
@@ -235,18 +230,18 @@ fn warm_pass_under_delay_chaos_still_fires_delays() {
     let remote = RemoteExecutor::new(&shard).with_timeout(Duration::from_secs(10));
     let cold = remote.execute_cells(&cells);
     let (delayed, simulated) = (
-        health_field(&shard, "chaos_delayed"),
-        Client::connect(shard.as_str())
-            .unwrap()
-            .stat("simulated")
-            .unwrap(),
+        shard_stat(&shard, "qprac_chaos_delayed_total"),
+        shard_stat(&shard, "qprac_simulated_total"),
     );
     let warm = remote.execute_cells(&cells);
     assert!(warm == cold, "delays must not change results");
-    let mut client = Client::connect(shard.as_str()).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), simulated, "warm only");
+    assert_eq!(
+        shard_stat(&shard, "qprac_simulated_total"),
+        simulated,
+        "warm only"
+    );
     assert!(
-        health_field(&shard, "chaos_delayed") > delayed,
+        shard_stat(&shard, "qprac_chaos_delayed_total") > delayed,
         "no warm request was delayed"
     );
 }

@@ -112,17 +112,17 @@ fn remote_execution_is_byte_identical_to_local() {
 
     // The server simulated all 8 cells, the engine cell included.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 8);
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 8);
 
     // A second remote pass is answered entirely from the server's
     // caches: tables identical, simulated counter unchanged.
     assert_eq!(remote_pass(), local);
     assert_eq!(
-        client.stat("simulated").unwrap(),
+        client.stat("qprac_simulated_total").unwrap(),
         8,
         "warm pass re-simulated"
     );
-    assert!(client.stat("mem_hits").unwrap() >= 8);
+    assert!(client.stat("qprac_mem_hits_total").unwrap() >= 8);
 }
 
 /// The mitigation arena end to end, local vs `QPRAC_REMOTE`: every
@@ -192,8 +192,8 @@ fn compare_mitigations_is_byte_identical_local_vs_remote() {
     // Every simulated cell crossed the wire: the server answered all
     // registered designs, zoo additions included.
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.stat("simulated").unwrap() > 0);
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 0);
+    assert!(client.stat("qprac_simulated_total").unwrap() > 0);
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 0);
 
     for d in [local_dir, remote_dir] {
         let _ = std::fs::remove_dir_all(d);

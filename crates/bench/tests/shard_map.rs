@@ -85,7 +85,7 @@ fn growing_three_to_four_shards_moves_at_most_a_quarter_of_run_all() {
 
 /// Cross-process determinism at the bench layer: the runner's executor
 /// and any other client build identical maps from the same list (the
-/// property that lets CI assert per-shard STATS without coordination).
+/// property that lets CI assert per-shard counters without coordination).
 #[test]
 fn executor_and_standalone_map_agree_on_every_assignment() {
     let exec = qprac_bench::RemoteExecutor::new(CI_SHARDS);

@@ -10,10 +10,9 @@
 //! over-reports by at most 2x (one bucket width): the right bias for a
 //! regression signal, where under-reporting would hide a slowdown.
 //!
-//! All derived output — the `name=value` lines served by `STATS`/`HEALTH`
-//! and the Prometheus exposition served by `METRICS` — is computed from
-//! one [`HistSnapshot`], so the two renderings can never disagree about
-//! the underlying counts.
+//! All derived output — quantiles, means, cross-shard merges and the
+//! Prometheus exposition served by `METRICS` — is computed from one
+//! [`HistSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,25 +142,6 @@ impl HistSnapshot {
         self.sum_us += other.sum_us;
     }
 
-    /// The `name=value` lines for `STATS`/`HEALTH`: count plus
-    /// p50/p95/p99/p999 upper bounds and the mean, each prefixed
-    /// `\nlat_<verb>_`. Empty histograms render nothing — quiet server,
-    /// quiet stats.
-    pub fn render_stats(&self, verb: &str, out: &mut String) {
-        let count = self.count();
-        if count == 0 {
-            return;
-        }
-        out.push_str(&format!(
-            "\nlat_{verb}_count={count}\nlat_{verb}_p50_us={}\nlat_{verb}_p95_us={}\nlat_{verb}_p99_us={}\nlat_{verb}_p999_us={}\nlat_{verb}_mean_us={}",
-            self.quantile_us(0.50),
-            self.quantile_us(0.95),
-            self.quantile_us(0.99),
-            self.quantile_us(0.999),
-            self.mean_us(),
-        ));
-    }
-
     /// The Prometheus text-exposition rendering used by `METRICS`:
     /// cumulative `_bucket{le=...}` lines plus `_sum` and `_count`.
     /// Empty histograms still render (a scrape target that has served
@@ -282,19 +262,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_prometheus_share_one_snapshot() {
+    fn prometheus_renders_cumulative_buckets_sum_and_count() {
         let h = Histogram::default();
         h.record_us(100);
         h.record_us(200);
-        let snap = h.snapshot();
-        let mut stats = String::new();
-        snap.render_stats("run", &mut stats);
-        assert!(stats.contains("lat_run_count=2"), "{stats}");
-        assert!(stats.contains("lat_run_p50_us=127"), "{stats}");
-        assert!(stats.contains("lat_run_p999_us=255"), "{stats}");
-        assert!(stats.contains("lat_run_mean_us=150"), "{stats}");
         let mut prom = String::new();
-        snap.render_prometheus("lat_run_us", &mut prom);
+        h.snapshot().render_prometheus("lat_run_us", &mut prom);
         assert!(prom.contains("# TYPE lat_run_us histogram"), "{prom}");
         // 100 → bucket [64,128) (le=127), 200 → bucket [128,256) (le=255).
         assert!(prom.contains("lat_run_us_bucket{le=\"127\"} 1\n"), "{prom}");

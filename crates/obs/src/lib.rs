@@ -3,12 +3,13 @@
 //! Four instruments, one crate, std-only:
 //!
 //! - [`hist`] — fixed log2-bucket latency histograms whose snapshot
-//!   type is the *single* source of quantiles, means and merges, and
-//!   of both the `name=value` STATS rendering and the Prometheus text
-//!   exposition, so the two can never drift.
+//!   type is the *single* source of quantiles, means, merges and the
+//!   Prometheus histogram rendering.
 //! - [`metrics`] — a lock-free registry of named counters, gauges and
 //!   histograms with cross-shard [`Snapshot`] merging and a Prometheus
-//!   renderer/parser pair (`METRICS` verb + `scrape_cluster`).
+//!   renderer/parser pair: `qprac-serve`'s `METRICS` verb, the one way
+//!   to read a shard's state, and `scrape_cluster`, which merges it
+//!   across shards.
 //! - [`trace`] — a ring-buffered simulation event recorder behind
 //!   `QPRAC_TRACE=<path>` that writes Chrome trace-event JSON loadable
 //!   in Perfetto. Disabled recorders hold no buffer and every record

@@ -5,9 +5,8 @@
 //!
 //! commands:
 //!   ping           liveness probe (exit 0 iff the server answers)
-//!   stats          print the server's counter block
-//!   health         print the server's HEALTH block (uptime, queue)
-//!   metrics        print the Prometheus text exposition (METRICS verb)
+//!   metrics        print the server's counters, gauges and latency
+//!                  histograms as Prometheus text (METRICS verb)
 //!   shutdown       ask the server to drain and exit gracefully
 //!   run <key>      submit one canonical run key, print the payload
 //!   batch          read keys from stdin (one per line), submit each in
@@ -16,8 +15,9 @@
 //!
 //! The address defaults to `QPRAC_REMOTE` (first shard if it is a
 //! comma-separated list), then `127.0.0.1:7117` — the same knob the
-//! bench runner uses, so `QPRAC_REMOTE=host:port qprac-client stats`
-//! inspects exactly the server a sweep talks to.
+//! bench runner uses, so `QPRAC_REMOTE=host:port qprac-client metrics`
+//! inspects exactly the server a sweep talks to. One counter is one
+//! line of that text: `qprac-client metrics | grep '^qprac_simulated_total '`.
 
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -25,9 +25,7 @@ use std::process::ExitCode;
 use qprac_serve::{Client, DEFAULT_ADDR};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: qprac-client [--addr host:port] <ping|stats|health|metrics|shutdown|run <key>|batch>"
-    );
+    eprintln!("usage: qprac-client [--addr host:port] <ping|metrics|shutdown|run <key>|batch>");
     ExitCode::FAILURE
 }
 
@@ -60,8 +58,6 @@ fn main() -> ExitCode {
     };
     let outcome = match (command.as_str(), args.get(1)) {
         ("ping", None) => client.ping().map(|()| println!("pong from {addr}")),
-        ("stats", None) => client.stats().map(|s| println!("{s}")),
-        ("health", None) => client.health().map(|s| println!("{s}")),
         ("metrics", None) => client.metrics().map(|s| print!("{s}")),
         ("shutdown", None) => client.shutdown().map(|()| println!("draining {addr}")),
         ("run", Some(key)) => client.run_key_text(key).map(|r| {

@@ -15,6 +15,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use qprac_obs::Snapshot;
 use sim::{CellResult, RunKey};
 
 use crate::protocol::{queue_request, read_response, write_request, Request, Response};
@@ -211,32 +212,22 @@ impl Client {
         self.run_key_text(key.as_str())
     }
 
-    /// Fetch the server's counter block (the `STATS` payload,
-    /// `name=value` per line).
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        self.call_text(&Request::Stats)
-    }
-
-    /// One `name=value` counter out of [`Self::stats`] output.
+    /// One counter or gauge of the server, by its registry name (e.g.
+    /// `qprac_simulated_total`, `qprac_queue_depth`), read from one
+    /// [`Self::metrics`] scrape. A name the scrape lacks is an error,
+    /// not a 0, so a misspelled name cannot pass for an idle counter.
     pub fn stat(&mut self, name: &str) -> Result<u64, ClientError> {
-        let stats = self.stats()?;
-        stats
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ClientError::Server(format!("counter {name:?} missing in {stats:?}")))
-    }
-
-    /// Fetch the server's `HEALTH` block (`name=value` per line:
-    /// status, uptime, queue depth, in-flight work).
-    pub fn health(&mut self) -> Result<String, ClientError> {
-        self.call_text(&Request::Health)
+        let snap = Snapshot::parse_prometheus(&self.metrics()?).map_err(ClientError::Server)?;
+        snap.counters
+            .get(name)
+            .copied()
+            .or_else(|| snap.gauges.get(name).and_then(|&g| u64::try_from(g).ok()))
+            .ok_or_else(|| ClientError::Server(format!("no counter or gauge {name:?} in METRICS")))
     }
 
     /// Fetch the server's registry in Prometheus text exposition
     /// format (the `METRICS` verb). Feed the text to
-    /// [`qprac_obs::Snapshot::parse_prometheus`] to merge scrapes
-    /// across shards.
+    /// [`Snapshot::parse_prometheus`] to merge scrapes across shards.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.call_text(&Request::Metrics)
     }

@@ -57,5 +57,5 @@ pub use chaos::{Chaos, ChaosSpec};
 pub use client::{timeout_from_env, Client, ClientError, DEFAULT_TIMEOUT, PIPELINE_WINDOW};
 #[cfg(unix)]
 pub use poll::raise_nofile_limit;
-pub use server::{Server, ServerConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS, REPLY_BACKLOG_CAP};
+pub use server::{Server, ServerConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS, REPLY_BACKLOG_CAP, VERBS};
 pub use shard::{ShardMap, VNODES_PER_SHARD};

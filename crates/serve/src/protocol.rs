@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! request  := "RUNB " <canonical run-key text> "\n"
-//!           | "STATS\n"
-//!           | "HEALTH\n"
 //!           | "METRICS\n"
 //!           | "SHUTDOWN\n"
 //!           | "PING\n"
@@ -16,11 +14,13 @@
 //! `RUNB` resolves one cell and answers with an `OKB` frame whose
 //! payload is the [`sim::codec`] cell encoding (self-describing kind,
 //! versioned, checksummed) — the same bytes the run cache stores. The
-//! control verbs answer `OK text` with a UTF-8 payload.
+//! control verbs answer `OK text` with a UTF-8 payload: `METRICS` the
+//! server's registry in Prometheus text exposition format, `PING`
+//! `pong` and `SHUTDOWN` `draining`.
 //!
 //! Requests are single lines because canonical run keys never contain
-//! newlines; responses are length-prefixed because stats payloads are
-//! multi-line. Both sides cap line and payload sizes so a garbage peer
+//! newlines; responses are length-prefixed because `METRICS` payloads
+//! are multi-line. Both sides cap line and payload sizes so a garbage peer
 //! cannot balloon memory.
 
 use std::io::{self, BufRead, Read, Write};
@@ -36,13 +36,9 @@ pub enum Request {
     /// Resolve one cell by its canonical [`sim::RunKey`] text, answered
     /// in the binary cell encoding ([`Response::OkBin`]).
     RunBin(String),
-    /// Server counters (requests / hits / simulated / coalesced).
-    Stats,
-    /// Replica health: uptime, queue depth, in-flight work — what a
-    /// failover-aware client routes on.
-    Health,
-    /// The same registry data as `STATS`/`HEALTH` in Prometheus text
-    /// exposition format — what `scrape_cluster` merges across shards.
+    /// The server's counters, gauges and per-verb latency histograms in
+    /// Prometheus text exposition format — the one way to read a
+    /// shard's state, and what `scrape_cluster` merges across shards.
     Metrics,
     /// Graceful teardown: stop accepting, drain in-flight work, exit.
     Shutdown,
@@ -104,13 +100,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         return Ok(Request::RunBin(key.to_string()));
     }
     match line.trim_end() {
-        "STATS" => Ok(Request::Stats),
-        "HEALTH" => Ok(Request::Health),
         "METRICS" => Ok(Request::Metrics),
         "SHUTDOWN" => Ok(Request::Shutdown),
         "PING" => Ok(Request::Ping),
         other => Err(format!(
-            "unknown request {:?} (expected RUNB <key> | STATS | HEALTH | METRICS | SHUTDOWN | PING)",
+            "unknown request {:?} (expected RUNB <key> | METRICS | SHUTDOWN | PING)",
             clip(other, 80)
         )),
     }
@@ -127,8 +121,6 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
 pub fn queue_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
         Request::RunBin(key) => writeln!(w, "RUNB {key}"),
-        Request::Stats => writeln!(w, "STATS"),
-        Request::Health => writeln!(w, "HEALTH"),
         Request::Metrics => writeln!(w, "METRICS"),
         Request::Shutdown => writeln!(w, "SHUTDOWN"),
         Request::Ping => writeln!(w, "PING"),
@@ -227,8 +219,6 @@ mod tests {
     fn requests_render_and_parse() {
         for req in [
             Request::RunBin("workload:x;cores=4".into()),
-            Request::Stats,
-            Request::Health,
             Request::Metrics,
             Request::Shutdown,
             Request::Ping,
@@ -246,7 +236,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip_including_multiline_payloads() {
-        let ok = Response::Ok("requests=1\nmem_hits=2\n".into());
+        let ok = Response::Ok("qprac_requests_total 1\nqprac_mem_hits_total 2\n".into());
         assert_eq!(round_trip_response(&ok), ok);
         let empty = Response::Ok(String::new());
         assert_eq!(round_trip_response(&empty), empty);

@@ -11,8 +11,8 @@
 //!
 //! Division of labor per request:
 //!
-//! - control verbs (`PING`/`STATS`/`HEALTH`/`METRICS`/`SHUTDOWN`) are
-//!   answered inline on the reactor thread;
+//! - control verbs (`PING`/`METRICS`/`SHUTDOWN`) are answered inline
+//!   on the reactor thread;
 //! - `RUNB` keys are parsed inline too. A malformed key (`ERR`) and a
 //!   memory-tier hit (`OKB`) are answered on the spot, so a warm
 //!   request never leaves the reactor thread;

@@ -25,11 +25,12 @@
 //! has exactly `workers` threads, so a thousand clients asking for
 //! twelve distinct cells produce at most `workers` concurrent
 //! simulations and zero duplicates; the rest wait in the dispatch
-//! queue, whose length `HEALTH` reports as `queue_depth`.
+//! queue, whose length is the `qprac_queue_depth` gauge.
 //!
 //! Every counter, gauge and latency histogram lives in the server's own
-//! [`Registry`]; `STATS`, `HEALTH` and `METRICS` are three renderings
-//! of one [`Snapshot`].
+//! [`Registry`]; `METRICS` renders one [`Snapshot`] of it, plus the
+//! values derived at read time, as Prometheus text. That is the one way
+//! to read a shard's state; `PING` is the liveness probe.
 
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -41,7 +42,7 @@ use std::time::Instant;
 use qprac_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use sim::{CellResult, CellSpec, RunCache, RunKey};
 
-use crate::chaos::{Chaos, ChaosSpec, CHAOS_COUNTERS};
+use crate::chaos::{Chaos, ChaosSpec};
 use crate::memcache::LruCache;
 use crate::protocol::Request;
 use crate::singleflight::Group;
@@ -115,36 +116,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Verbs with a latency histogram (`qprac_lat_<verb>_us`), in `STATS`
-/// render order.
-const VERBS: [&str; 5] = ["runb", "stats", "health", "ping", "metrics"];
-
-/// `STATS` keys and the registry metric behind each, in render order.
-const STATS_FIELDS: [(&str, &str); 9] = [
-    ("requests", "qprac_requests_total"),
-    ("mem_hits", "qprac_mem_hits_total"),
-    ("disk_hits", "qprac_disk_hits_total"),
-    ("simulated", "qprac_simulated_total"),
-    ("coalesced", "qprac_coalesced_total"),
-    ("errors", "qprac_errors_total"),
-    // Keys naming a mitigation this build does not register: the
-    // version-skew signal (a subset of `errors`).
-    ("unknown_mitigation", "qprac_unknown_mitigation_total"),
-    ("store_errors", "qprac_store_errors_total"),
-    ("in_flight", "qprac_in_flight"),
-];
-
-/// `HEALTH` keys after `status`, and the registry metric behind each.
-const HEALTH_FIELDS: [(&str, &str); 8] = [
-    ("uptime_ms", "qprac_uptime_ms"),
-    ("workers", "qprac_workers"),
-    ("active", "qprac_active"),
-    ("queue_depth", "qprac_queue_depth"),
-    ("in_flight", "qprac_in_flight"),
-    ("connections", "qprac_connections"),
-    ("max_conns", "qprac_max_conns"),
-    ("rejected_conns", "qprac_rejected_conns_total"),
-];
+/// Verbs with a latency histogram (`qprac_lat_<verb>_us`).
+pub const VERBS: [&str; 3] = ["runb", "ping", "metrics"];
 
 /// Handles into the server's registry, fetched once at bind so no
 /// request looks a metric up by name.
@@ -174,8 +147,6 @@ pub(crate) struct Metrics {
     /// worker.
     pub(crate) queue_depth: Gauge,
     pub(crate) lat_runb: Arc<Histogram>,
-    lat_stats: Arc<Histogram>,
-    lat_health: Arc<Histogram>,
     lat_ping: Arc<Histogram>,
     lat_metrics: Arc<Histogram>,
 }
@@ -186,7 +157,8 @@ impl Metrics {
         registry.gauge("qprac_workers").set(workers as i64);
         registry.gauge("qprac_max_conns").set(max_conns as i64);
         let counter = |name: &str| registry.counter(&format!("qprac_{name}_total"));
-        let lat = |verb: &str| registry.histogram(&format!("qprac_lat_{verb}_us"));
+        let [lat_runb, lat_ping, lat_metrics] =
+            VERBS.map(|verb| registry.histogram(&format!("qprac_lat_{verb}_us")));
         Metrics {
             requests: counter("requests"),
             run_requests: counter("run_requests"),
@@ -201,11 +173,9 @@ impl Metrics {
             reply_backlog: registry.gauge("qprac_reply_backlog_bytes"),
             active: registry.gauge("qprac_active"),
             queue_depth: registry.gauge("qprac_queue_depth"),
-            lat_runb: lat("runb"),
-            lat_stats: lat("stats"),
-            lat_health: lat("health"),
-            lat_ping: lat("ping"),
-            lat_metrics: lat("metrics"),
+            lat_runb,
+            lat_ping,
+            lat_metrics,
             registry,
         }
     }
@@ -214,8 +184,6 @@ impl Metrics {
     pub(crate) fn latency(&self, req: &Request) -> Option<&Histogram> {
         match req {
             Request::RunBin(_) => Some(&self.lat_runb),
-            Request::Stats => Some(&self.lat_stats),
-            Request::Health => Some(&self.lat_health),
             Request::Ping => Some(&self.lat_ping),
             Request::Metrics => Some(&self.lat_metrics),
             Request::Shutdown => None,
@@ -324,8 +292,6 @@ impl Server {
 pub(crate) fn control_payload(inner: &Inner, req: &Request) -> String {
     match req {
         Request::Ping => "pong".into(),
-        Request::Stats => render_stats(&snapshot(inner)),
-        Request::Health => render_health(inner, &snapshot(inner)),
         Request::Metrics => snapshot(inner).render_prometheus(),
         Request::Shutdown => {
             inner.shutting_down.store(true, Ordering::SeqCst);
@@ -356,49 +322,6 @@ pub(crate) fn snapshot(inner: &Inner) -> Snapshot {
     snap
 }
 
-/// Append `\n<key>=<value>` per field (a counter or a gauge of `snap`).
-fn render_fields(snap: &Snapshot, fields: &[(&str, &str)], out: &mut String) {
-    for (key, name) in fields {
-        let value = match snap.counters.get(*name) {
-            Some(v) => v.to_string(),
-            None => snap.gauge(name).to_string(),
-        };
-        out.push_str(&format!("\n{key}={value}"));
-    }
-}
-
-/// Append every non-empty verb's `lat_<verb>_*` lines.
-fn render_latency(snap: &Snapshot, out: &mut String) {
-    for verb in VERBS {
-        if let Some(hist) = snap.hists.get(&format!("qprac_lat_{verb}_us")) {
-            hist.render_stats(verb, out);
-        }
-    }
-}
-
-/// The `STATS` payload: monotonic counters plus per-verb latency
-/// quantiles.
-fn render_stats(snap: &Snapshot) -> String {
-    let mut text = String::new();
-    render_fields(snap, &STATS_FIELDS, &mut text);
-    render_latency(snap, &mut text);
-    text.split_off(1) // every field line starts with '\n'
-}
-
-/// The `HEALTH` payload: liveness plus the load signals a
-/// failover-aware client routes on, and fired faults when chaos is
-/// armed.
-fn render_health(inner: &Inner, snap: &Snapshot) -> String {
-    let draining = snap.gauge("qprac_draining") != 0;
-    let mut text = format!("status={}", if draining { "draining" } else { "ok" });
-    render_fields(snap, &HEALTH_FIELDS, &mut text);
-    render_latency(snap, &mut text);
-    if inner.chaos.is_some() {
-        render_fields(snap, &CHAOS_COUNTERS, &mut text);
-    }
-    text
-}
-
 /// Panic-safe tally of resolves in progress: the chaos leader-kill
 /// unwinds straight through `resolve`, and a stuck gauge would report
 /// phantom load forever.
@@ -422,8 +345,8 @@ impl Drop for ActiveGuard<'_> {
 pub(crate) fn parse_key(inner: &Inner, key_text: &str) -> Result<CellSpec, String> {
     RunKey::parse_text(key_text).map_err(|e| {
         // Version-skew signal: a newer peer minted a key for a design
-        // this build does not register. Counted (STATS) separately from
-        // plain errors.
+        // this build does not register. Counted separately from plain
+        // errors.
         if matches!(e, sim::KeyError::UnknownMitigation(_)) {
             inner.metrics.unknown_mitigation.inc();
         }
@@ -488,7 +411,7 @@ pub(crate) fn resolve(
         m.simulated.inc();
         let result = Arc::new(outcome);
         if let Err(e) = inner.disk.store(&key, &result) {
-            // Counted by the cache (STATS `store_errors`); the result
+            // Counted by the cache (`qprac_store_errors_total`); the result
             // itself still flows to the caller and the memory tier.
             qprac_obs::warn!("qprac-serve: disk-cache store failed: {e}");
         }
@@ -512,36 +435,29 @@ pub(crate) fn resolve(
 mod tests {
     use super::*;
 
+    /// `METRICS` exports exactly this set: every counter and gauge the
+    /// retired `name=value` verbs printed (their `status=draining` is
+    /// `qprac_draining`), and one latency histogram per verb that has
+    /// one, each fed by its own verb.
     #[test]
-    fn counters_render_all_fields() {
+    fn metrics_export_every_counter_gauge_and_verb_histogram() {
         let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
             .unwrap()
             .inner;
         inner.metrics.requests.add(3);
-        let text = render_stats(&snapshot(&inner));
-        let keys: Vec<&str> = text.lines().map(|l| l.split('=').next().unwrap()).collect();
-        assert_eq!(
-            keys,
-            STATS_FIELDS.map(|(key, _)| key),
-            "no latency lines before traffic: {text}"
-        );
-        assert!(text.starts_with("requests=3\n"), "{text}");
-        let health = render_health(&inner, &snapshot(&inner));
-        assert!(health.starts_with("status=ok\nuptime_ms="), "{health}");
-        assert!(
-            health.ends_with("max_conns=4096\nrejected_conns=0"),
-            "{health}"
-        );
-        // METRICS renders the same snapshot: every STATS and HEALTH
-        // field has its metric, and nothing else is exported.
-        let prom = snapshot(&inner).render_prometheus();
-        for (_, name) in STATS_FIELDS.iter().chain(&HEALTH_FIELDS) {
-            assert!(prom.contains(&format!("\n{name} ")), "{name} missing");
+        for (req, us) in [
+            (Request::RunBin("k".into()), 100),
+            (Request::RunBin("k".into()), 200),
+            (Request::Metrics, 50),
+        ] {
+            inner.metrics.latency(&req).unwrap().record_us(us);
         }
-        let snap = snapshot(&inner);
-        let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        assert!(inner.metrics.latency(&Request::Shutdown).is_none());
+        let snap = Snapshot::parse_prometheus(&snapshot(&inner).render_prometheus())
+            .expect("METRICS parses");
+        assert_eq!(snap.counter("qprac_requests_total"), 3);
         assert_eq!(
-            counters,
+            snap.counters.keys().map(String::as_str).collect::<Vec<_>>(),
             [
                 "qprac_coalesced_total",
                 "qprac_disk_hits_total",
@@ -555,35 +471,31 @@ mod tests {
                 "qprac_unknown_mitigation_total",
             ]
         );
+        assert_eq!(
+            snap.gauges.keys().map(String::as_str).collect::<Vec<_>>(),
+            [
+                "qprac_active",
+                "qprac_connections",
+                "qprac_draining",
+                "qprac_in_flight",
+                "qprac_max_conns",
+                "qprac_queue_depth",
+                "qprac_reply_backlog_bytes",
+                "qprac_uptime_ms",
+                "qprac_workers",
+            ]
+        );
+        assert_eq!(snap.gauge("qprac_max_conns"), DEFAULT_MAX_CONNS as i64);
+        assert_eq!(snap.gauge("qprac_draining"), 0);
         let mut hists = VERBS.map(|v| format!("qprac_lat_{v}_us")).to_vec();
         hists.sort();
         assert_eq!(snap.hists.keys().cloned().collect::<Vec<_>>(), hists);
-    }
-
-    #[test]
-    fn render_emits_count_and_quantiles_only_when_nonempty() {
-        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
-            .unwrap()
-            .inner;
-        let stats = || render_stats(&snapshot(&inner));
-        assert!(!stats().contains("lat_"), "no observations, no lines");
-        inner.metrics.lat_runb.record_us(100);
-        inner.metrics.lat_runb.record_us(200);
-        let text = stats();
-        assert!(text.contains("lat_runb_count=2"), "{text}");
-        assert!(text.contains("lat_runb_p50_us=127"), "{text}");
-        assert!(text.contains("lat_runb_p99_us=255"), "{text}");
-        assert!(!text.contains("lat_ping"), "{text}");
-    }
-
-    #[test]
-    fn render_includes_the_metrics_verb() {
-        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
-            .unwrap()
-            .inner;
-        let hist = inner.metrics.latency(&Request::Metrics).unwrap();
-        hist.record_us(50);
-        let text = render_health(&inner, &snapshot(&inner));
-        assert!(text.contains("lat_metrics_count=1"), "{text}");
+        let runb = &snap.hists["qprac_lat_runb_us"];
+        assert_eq!((runb.count(), runb.quantile_us(0.5)), (2, 127));
+        assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 1);
+        assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0);
+        // `SHUTDOWN` flips the draining gauge.
+        assert_eq!(control_payload(&inner, &Request::Shutdown), "draining");
+        assert_eq!(snapshot(&inner).gauge("qprac_draining"), 1);
     }
 }

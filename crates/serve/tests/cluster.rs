@@ -2,7 +2,7 @@
 //! readiness loop was built for. A thousand idle connections must cost
 //! buffers, not OS threads; the connection ceiling must refuse (and
 //! count) the excess; and per-verb latency histograms must surface in
-//! `STATS`/`HEALTH`.
+//! `METRICS`.
 //!
 //! These tests are unix-only by construction (the poll core is) and
 //! read `/proc/self/status` for the thread count, so the ceiling test
@@ -14,7 +14,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use qprac_serve::{ChaosSpec, Client, Server, ServerConfig};
+use qprac_serve::{ChaosSpec, Client, Server, ServerConfig, DEFAULT_MAX_CONNS};
 use sim::{MitigationKind, RunKey, SystemConfig};
 
 fn small_key(instr: u64) -> RunKey {
@@ -88,10 +88,10 @@ fn sustain_idle_connections(chaos: Option<ChaosSpec>) {
     let key = small_key(200);
     probe.run(&key).expect("run resolves under load");
     // ...every connection is actually registered (accepted + polled)...
-    let connections = wait_for_health_gauge(addr, "connections=", IDLE as u64 + 1);
+    let connections = wait_for_stat(addr, "qprac_connections", IDLE as u64 + 1);
     assert!(
         connections > IDLE as u64,
-        "HEALTH reports {connections} connections, expected > {IDLE}"
+        "METRICS reports {connections} connections, expected > {IDLE}"
     );
     // ...and no thread was spawned per connection: the thread count is
     // what it was before (modulo unrelated test-harness noise).
@@ -104,23 +104,20 @@ fn sustain_idle_connections(chaos: Option<ChaosSpec>) {
     drop(idle);
 }
 
-/// Wait (bounded) for a `HEALTH` gauge to reach `want`; returns the
-/// last observed value. Gauges settle asynchronously with the reactor's
-/// accept/close processing.
-fn wait_for_health_gauge(addr: SocketAddr, field: &str, want: u64) -> u64 {
+/// Wait (bounded) for a counter or gauge to reach `want`; returns the
+/// last observed value. Connection counts settle asynchronously with
+/// the reactor's accept/close processing.
+fn wait_for_stat(addr: SocketAddr, name: &str, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut last = 0;
     loop {
-        if let Ok(mut c) = Client::connect(addr) {
-            if let Ok(health) = c.health() {
-                last = health
-                    .lines()
-                    .find_map(|l| l.strip_prefix(field))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
-                if last >= want {
-                    return last;
-                }
+        if let Some(value) = Client::connect(addr)
+            .ok()
+            .and_then(|mut c| c.stat(name).ok())
+        {
+            last = value;
+            if last >= want {
+                return last;
             }
         }
         if Instant::now() > deadline {
@@ -161,12 +158,15 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     assert_eq!(n, 0, "over-ceiling connection got bytes: {buf:?}");
 
     // Releasing one slot readmits new clients, and the refusal shows up
-    // in HEALTH.
+    // in METRICS.
     held.pop();
-    let rejected = wait_for_health_gauge(addr, "rejected_conns=", 1);
-    assert!(rejected >= 1, "refusals not counted (rejected_conns=0)");
+    let rejected = wait_for_stat(addr, "qprac_rejected_conns_total", 1);
+    assert!(
+        rejected >= 1,
+        "refusals not counted (qprac_rejected_conns_total = 0)"
+    );
     // Readmission races the server noticing closed sockets (ours and
-    // the HEALTH probes'); retry until a fresh client serves.
+    // the METRICS probes'); retry until a fresh client serves.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let served = match Client::connect(addr) {
@@ -183,43 +183,31 @@ fn connection_ceiling_refuses_and_counts_the_excess() {
     }
 }
 
-/// Per-verb latency histograms appear in
-/// `STATS` and `HEALTH` once a verb has traffic, and quiet verbs stay
-/// silent.
+/// Every verb with traffic is timed in its own `METRICS` histogram;
+/// a quiet verb's histogram is exported empty.
 #[test]
-fn stats_and_health_expose_per_verb_latency_quantiles() {
+fn metrics_expose_per_verb_latency_histograms() {
     let addr = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     let key = small_key(300);
     client.run(&key).expect("run");
     client.run(&key).expect("run again (warm)");
-    let stats = client.stats().expect("stats");
-    for field in [
-        "lat_runb_count=2",
-        "lat_runb_p50_us=",
-        "lat_runb_p95_us=",
-        "lat_runb_p99_us=",
-    ] {
-        assert!(stats.contains(field), "{field} missing from STATS: {stats}");
-    }
-    // HEALTH had no traffic before this STATS render: quiet verbs stay
-    // silent.
-    assert!(
-        !stats.contains("lat_health_"),
-        "quiet verb rendered: {stats}"
-    );
-    let health = client.health().expect("health");
-    assert!(
-        health.contains("lat_runb_count=2"),
-        "HEALTH lacks histograms: {health}"
-    );
-    assert!(health.contains("connections="), "{health}");
-    assert!(health.contains("max_conns="), "{health}");
+    let text = client.metrics().expect("metrics");
+    let snap = qprac_obs::Snapshot::parse_prometheus(&text).expect("METRICS parses");
+    let runb = &snap.hists["qprac_lat_runb_us"];
+    assert_eq!(runb.count(), 2, "{text}");
+    assert!(runb.quantile_us(0.5) <= runb.quantile_us(0.99));
+    assert!(runb.quantile_us(0.99) > 0, "a simulated cell takes time");
+    // The scrape is timed once its reply is queued: this one is not in
+    // its own histogram, and PING had no traffic.
+    assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 0);
+    assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0);
+    assert!(snap.gauge("qprac_connections") >= 1, "{text}");
+    assert_eq!(snap.gauge("qprac_max_conns"), DEFAULT_MAX_CONNS as i64);
 }
 
 /// The `METRICS` verb serves a parseable Prometheus exposition whose
-/// counters agree with `STATS` — both render the same registry
-/// snapshot, so any drift is a bug.
+/// counters agree with `Client::stat`, which reads the same verb.
 #[test]
 fn metrics_exposition_parses_and_matches_stats() {
     let addr = spawn_server(ServerConfig::default());
@@ -227,7 +215,9 @@ fn metrics_exposition_parses_and_matches_stats() {
     let key = small_key(250);
     client.run(&key).expect("run");
     client.run(&key).expect("run again (warm)");
-    let simulated = client.stat("simulated").expect("stats counter");
+    let simulated = client
+        .stat("qprac_simulated_total")
+        .expect("simulated counter");
     let text = client.metrics().expect("metrics");
     let snap = qprac_obs::Snapshot::parse_prometheus(&text)
         .unwrap_or_else(|e| panic!("METRICS payload must parse: {e}\n{text}"));
@@ -239,11 +229,11 @@ fn metrics_exposition_parses_and_matches_stats() {
     // Per-verb latency travels as real histograms.
     let runb = snap.hists.get("qprac_lat_runb_us").expect("runb histogram");
     assert_eq!(runb.count(), 2);
-    // A second scrape counts the first: the METRICS verb observes
-    // itself like any other.
-    let text2 = client.metrics().expect("second scrape");
+    // A later scrape counts the earlier ones (the `stat` read and the
+    // first scrape): the METRICS verb observes itself like any other.
+    let text2 = client.metrics().expect("third scrape");
     let snap2 = qprac_obs::Snapshot::parse_prometheus(&text2).expect("parses");
-    assert_eq!(snap2.hists["qprac_lat_metrics_us"].count(), 1);
+    assert_eq!(snap2.hists["qprac_lat_metrics_us"].count(), 2);
     // Cross-shard aggregation: merging two scrapes of the same shard
     // doubles counters — the operation load_test applies across shards.
     let mut merged = snap.clone();

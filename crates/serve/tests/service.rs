@@ -1,8 +1,8 @@
 //! End-to-end service tests on an ephemeral port: single-flight
 //! coalescing under concurrent clients, the three cache tiers'
 //! hit counters, engine cells, pipelined batches and the reply-backlog
-//! cap, the dispatch queue depth `HEALTH` reports, and graceful handling
-//! of malformed and truncated requests.
+//! cap, the load gauges `METRICS` reports, and graceful handling of
+//! malformed and truncated requests.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,16 +51,20 @@ fn concurrent_clients_with_one_key_simulate_once() {
     // ...and the server ran the simulation exactly once: every other
     // request either coalesced onto the in-flight run or hit the LRU.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.stat("simulated").unwrap(), 1, "single-flight");
-    let mem_hits = client.stat("mem_hits").unwrap();
-    let coalesced = client.stat("coalesced").unwrap();
+    assert_eq!(
+        client.stat("qprac_simulated_total").unwrap(),
+        1,
+        "single-flight"
+    );
+    let mem_hits = client.stat("qprac_mem_hits_total").unwrap();
+    let coalesced = client.stat("qprac_coalesced_total").unwrap();
     assert_eq!(
         mem_hits + coalesced,
         (CLIENTS - 1) as u64,
         "the other {} requests must be shared, not re-simulated",
         CLIENTS - 1
     );
-    assert_eq!(client.stat("in_flight").unwrap(), 0);
+    assert_eq!(client.stat("qprac_in_flight").unwrap(), 0);
 }
 
 #[test]
@@ -78,9 +82,9 @@ fn lru_and_disk_tiers_report_hits() {
     let first = client.run(&key).expect("cold run");
     let again = client.run(&key).expect("warm run");
     assert_eq!(first, again);
-    assert_eq!(client.stat("simulated").unwrap(), 1);
-    assert_eq!(client.stat("mem_hits").unwrap(), 1);
-    assert_eq!(client.stat("disk_hits").unwrap(), 0);
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_disk_hits_total").unwrap(), 0);
 
     // Server B shares the disk tier: a fresh process-equivalent resolves
     // the same key from disk without simulating.
@@ -90,8 +94,8 @@ fn lru_and_disk_tiers_report_hits() {
     });
     let mut client_b = Client::connect(addr_b).unwrap();
     assert_eq!(client_b.run(&key).expect("disk-tier run"), first);
-    assert_eq!(client_b.stat("simulated").unwrap(), 0);
-    assert_eq!(client_b.stat("disk_hits").unwrap(), 1);
+    assert_eq!(client_b.stat("qprac_simulated_total").unwrap(), 0);
+    assert_eq!(client_b.stat("qprac_disk_hits_total").unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -119,16 +123,19 @@ fn malformed_requests_get_err_and_the_connection_survives() {
     assert!(!err.to_string().contains("panicked"), "{err}");
     // The same connection still works for a valid request afterwards.
     client.ping().expect("connection survived the ERRs");
-    assert!(client.stat("errors").unwrap() >= 4);
+    assert!(client.stat("qprac_errors_total").unwrap() >= 4);
 
-    // The retired text verb is just an unknown request, and its
-    // connection survives too.
+    // The retired verbs (`RUN` and the two `name=value` state dumps)
+    // are just unknown requests, and their connection survives too.
     let mut raw = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(raw.try_clone().unwrap());
     writeln!(raw, "RUN {}", small_key(100)).unwrap();
-    match read_response(&mut reader).unwrap() {
-        Response::Err(msg) => assert!(msg.contains("unknown request"), "{msg}"),
-        other => panic!("RUN must be refused: {other:?}"),
+    raw.write_all(b"STATS\nHEALTH\n").unwrap();
+    for _ in 0..3 {
+        match read_response(&mut reader).unwrap() {
+            Response::Err(msg) => assert!(msg.contains("unknown request"), "{msg}"),
+            other => panic!("a retired verb must be refused: {other:?}"),
+        }
     }
     raw.write_all(b"PING\n").unwrap();
     assert_eq!(
@@ -144,7 +151,7 @@ fn engine_keys_are_served_byte_identical_to_a_local_run() {
     let spec = RunKey::parse_text("engine:wave;nmit=1;nbo=8;psq=5;r1=4").unwrap();
     let served = client.run(&spec.key()).expect("engine cell served");
     assert_eq!(encode_cell(&served), encode_cell(&spec.run()));
-    assert_eq!(client.stat("simulated").unwrap(), 1);
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 1);
 }
 
 #[test]
@@ -161,14 +168,14 @@ fn unknown_mitigation_keys_get_a_counted_clean_err() {
     assert!(matches!(err, ClientError::Server(_)), "{err}");
     assert!(err.to_string().contains("unknown mitigation"), "{err}");
     assert!(!err.to_string().contains("panicked"), "{err}");
-    // Counted under its own STATS reason, distinct from plain errors.
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 1);
-    assert_eq!(client.stat("errors").unwrap(), 1);
+    // Counted under its own counter, distinct from plain errors.
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_errors_total").unwrap(), 1);
     // A malformed key is an error but NOT an unknown mitigation.
     let err = client.run_key_text("workload:missing-config").unwrap_err();
     assert!(err.to_string().contains("malformed"), "{err}");
-    assert_eq!(client.stat("unknown_mitigation").unwrap(), 1);
-    assert_eq!(client.stat("errors").unwrap(), 2);
+    assert_eq!(client.stat("qprac_unknown_mitigation_total").unwrap(), 1);
+    assert_eq!(client.stat("qprac_errors_total").unwrap(), 2);
     // The connection survives and the server still simulates.
     client.ping().expect("connection survived the ERRs");
 }
@@ -226,8 +233,12 @@ fn corrupt_binary_disk_entries_are_a_miss_never_a_panic() {
     });
     let mut client_b = Client::connect(addr_b).unwrap();
     assert_eq!(client_b.run(&key).expect("resolve past corruption"), first);
-    assert_eq!(client_b.stat("disk_hits").unwrap(), 0, "corrupt = miss");
-    assert_eq!(client_b.stat("simulated").unwrap(), 1);
+    assert_eq!(
+        client_b.stat("qprac_disk_hits_total").unwrap(),
+        0,
+        "corrupt = miss"
+    );
+    assert_eq!(client_b.stat("qprac_simulated_total").unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -275,39 +286,38 @@ fn chaos_killed_leader_poisons_followers_who_redrive() {
         "a kill must force a retry"
     );
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.health().unwrap().contains("chaos_killed=1"));
+    assert_eq!(client.stat("qprac_chaos_killed_total").unwrap(), 1);
     assert_eq!(
-        client.stat("simulated").unwrap(),
+        client.stat("qprac_simulated_total").unwrap(),
         1,
         "the re-driven flight simulates once; everyone else shares it"
     );
 }
 
+/// An idle shard's `METRICS`: not draining, at least one worker, no
+/// load, and no chaos counters while chaos is off.
 #[test]
-fn health_reports_status_and_load_signals() {
+fn metrics_report_status_and_load_gauges() {
     let addr = spawn_server(ServerConfig::default());
-    let mut client = Client::connect(addr).unwrap();
-    let health = client.health().expect("health");
-    let field = |name: &str| -> String {
-        health
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-            .unwrap_or_else(|| panic!("{name} missing in {health:?}"))
-            .to_string()
-    };
-    assert_eq!(field("status"), "ok");
-    assert!(field("workers").parse::<u64>().unwrap() >= 1);
-    assert_eq!(field("active"), "0");
-    assert_eq!(field("queue_depth"), "0");
-    assert_eq!(field("in_flight"), "0");
-    let _uptime: u64 = field("uptime_ms").parse().unwrap();
+    let snap = scrape(&mut Client::connect(addr).unwrap());
+    assert_eq!(snap.gauge("qprac_draining"), 0);
+    assert!(snap.gauge("qprac_workers") >= 1);
+    for idle in ["qprac_active", "qprac_queue_depth", "qprac_in_flight"] {
+        assert_eq!(snap.gauges.get(idle), Some(&0), "{idle}");
+    }
+    assert!(snap.gauges.contains_key("qprac_uptime_ms"));
     // Chaos counters only appear when chaos is armed.
-    assert!(!health.contains("chaos_"), "quiet server, quiet health");
+    assert!(
+        !snap.counters.keys().any(|name| name.contains("chaos")),
+        "quiet server, no fault counters: {:?}",
+        snap.counters.keys()
+    );
 }
 
-/// `queue_depth` counts misses the dispatch pool has not taken yet: with
-/// one worker stalled on a delayed miss, the other distinct misses wait
-/// in the queue, and `HEALTH` (answered inline) sees them there.
+/// `qprac_queue_depth` counts misses the dispatch pool has not taken
+/// yet: with one worker stalled on a delayed miss, the other distinct
+/// misses wait in the queue, and `METRICS` (answered inline) sees them
+/// there.
 #[test]
 fn health_reports_the_dispatch_queue_depth() {
     let addr = spawn_server(ServerConfig {
@@ -316,12 +326,9 @@ fn health_reports_the_dispatch_queue_depth() {
         ..ServerConfig::default()
     });
     let queue_depth = || {
-        let health = Client::connect(addr).unwrap().health().unwrap();
-        health
-            .lines()
-            .find_map(|l| l.strip_prefix("queue_depth="))
-            .unwrap_or_else(|| panic!("queue_depth missing in {health:?}"))
-            .parse::<u64>()
+        Client::connect(addr)
+            .unwrap()
+            .stat("qprac_queue_depth")
             .unwrap()
     };
     assert_eq!(queue_depth(), 0);

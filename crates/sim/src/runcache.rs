@@ -141,8 +141,8 @@ impl RunCache {
     }
 
     /// Stores that failed with an I/O error since this cache (or any
-    /// clone sharing its counter) was built — `store_errors` in the
-    /// server's `STATS` block and the runner's warning line.
+    /// clone sharing its counter) was built — the server's
+    /// `qprac_store_errors_total` metric and the runner's warning line.
     pub fn failed_stores(&self) -> u64 {
         self.failed_stores.load(Ordering::Relaxed)
     }

@@ -59,20 +59,15 @@ fn main() {
                 stats.device.alerts,
             );
         }
-        let stats = client.stats().expect("server stats");
-        let counter = |name: &str| {
-            stats
-                .lines()
-                .find_map(|l| l.strip_prefix(name)?.strip_prefix('='))
-                .unwrap_or("?")
-                .to_string()
-        };
+        let mut counter = |name: &str| client.stat(name).expect("server counter");
+        let (simulated, mem_hits, coalesced) = (
+            counter("qprac_simulated_total"),
+            counter("qprac_mem_hits_total"),
+            counter("qprac_coalesced_total"),
+        );
         println!(
-            "  -> {:.2?}; server: simulated={} mem_hits={} coalesced={}\n",
+            "  -> {:.2?}; server: simulated={simulated} mem_hits={mem_hits} coalesced={coalesced}\n",
             t0.elapsed(),
-            counter("simulated"),
-            counter("mem_hits"),
-            counter("coalesced"),
         );
     }
 }
