@@ -435,26 +435,22 @@ pub(crate) fn resolve(
 mod tests {
     use super::*;
 
+    /// The `METRICS` scrape of `inner`, parsed back the way a client reads it.
+    fn scrape(inner: &Inner) -> Snapshot {
+        Snapshot::parse_prometheus(&snapshot(inner).render_prometheus()).expect("METRICS parses")
+    }
+
     /// `METRICS` exports exactly this set: every counter and gauge the
     /// retired `name=value` verbs printed (their `status=draining` is
-    /// `qprac_draining`), and one latency histogram per verb that has
-    /// one, each fed by its own verb.
+    /// `qprac_draining`), and one latency histogram per verb that has one.
     #[test]
-    fn metrics_export_every_counter_gauge_and_verb_histogram() {
+    fn counters_render_all_fields() {
         let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
             .unwrap()
             .inner;
         inner.metrics.requests.add(3);
-        for (req, us) in [
-            (Request::RunBin("k".into()), 100),
-            (Request::RunBin("k".into()), 200),
-            (Request::Metrics, 50),
-        ] {
-            inner.metrics.latency(&req).unwrap().record_us(us);
-        }
         assert!(inner.metrics.latency(&Request::Shutdown).is_none());
-        let snap = Snapshot::parse_prometheus(&snapshot(&inner).render_prometheus())
-            .expect("METRICS parses");
+        let snap = scrape(&inner);
         assert_eq!(snap.counter("qprac_requests_total"), 3);
         assert_eq!(
             snap.counters.keys().map(String::as_str).collect::<Vec<_>>(),
@@ -490,12 +486,48 @@ mod tests {
         let mut hists = VERBS.map(|v| format!("qprac_lat_{v}_us")).to_vec();
         hists.sort();
         assert_eq!(snap.hists.keys().cloned().collect::<Vec<_>>(), hists);
-        let runb = &snap.hists["qprac_lat_runb_us"];
-        assert_eq!((runb.count(), runb.quantile_us(0.5)), (2, 127));
-        assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 1);
-        assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0);
         // `SHUTDOWN` flips the draining gauge.
         assert_eq!(control_payload(&inner, &Request::Shutdown), "draining");
         assert_eq!(snapshot(&inner).gauge("qprac_draining"), 1);
+    }
+
+    /// A histogram is exported empty or not; its count and quantiles
+    /// read 0 until its verb is observed, and only that verb's move.
+    #[test]
+    fn render_emits_count_and_quantiles_only_when_nonempty() {
+        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .inner;
+        let runb = |snap: &Snapshot| {
+            let h = &snap.hists["qprac_lat_runb_us"];
+            (h.count(), h.quantile_us(0.5), h.quantile_us(0.99))
+        };
+        assert_eq!(runb(&scrape(&inner)), (0, 0, 0), "no observations");
+        for us in [100, 200] {
+            inner
+                .metrics
+                .latency(&Request::RunBin("k".into()))
+                .unwrap()
+                .record_us(us);
+        }
+        let snap = scrape(&inner);
+        assert_eq!(runb(&snap), (2, 127, 255));
+        assert_eq!(snap.hists["qprac_lat_ping_us"].count(), 0);
+    }
+
+    /// The `METRICS` verb feeds its own latency histogram.
+    #[test]
+    fn render_includes_the_metrics_verb() {
+        let inner = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .inner;
+        inner
+            .metrics
+            .latency(&Request::Metrics)
+            .unwrap()
+            .record_us(50);
+        let snap = scrape(&inner);
+        assert_eq!(snap.hists["qprac_lat_metrics_us"].count(), 1);
+        assert_eq!(snap.hists["qprac_lat_runb_us"].count(), 0);
     }
 }
