@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use qprac_bench::experiments::run_all_specs;
 use qprac_bench::{profile, scrape_cluster, write_cluster_metrics};
-use qprac_serve::{Client, ShardMap};
+use qprac_serve::{timeout_from_env, Client, ShardMap};
 use sim::RunKey;
 
 /// Per-shard `qprac_simulated_total` (the cluster may be warm or
@@ -54,7 +54,7 @@ fn per_shard_simulated(shards: &[String]) -> Vec<u64> {
     shards
         .iter()
         .map(|addr| {
-            let mut c = Client::connect(addr.as_str())
+            let mut c = Client::connect_timeout(addr.as_str(), timeout_from_env())
                 .unwrap_or_else(|e| panic!("shard {addr} unreachable: {e}"));
             c.stat("qprac_simulated_total")
                 .unwrap_or_else(|e| panic!("shard {addr} METRICS failed: {e}"))
@@ -171,7 +171,10 @@ fn main() {
                         loop {
                             attempts += 1;
                             if slot.is_none() {
-                                match Client::connect(shards[shard].as_str()) {
+                                match Client::connect_timeout(
+                                    shards[shard].as_str(),
+                                    timeout_from_env(),
+                                ) {
                                     Ok(cl) => *slot = Some(cl),
                                     Err(e) => {
                                         qprac_obs::warn!(

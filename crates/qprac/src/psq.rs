@@ -44,6 +44,13 @@ pub enum OfferOutcome {
 
 /// A priority-based service queue with a fixed number of entries.
 ///
+/// The entries are kept sorted by `(count, row)`, ascending: the entry
+/// the queue services (highest count, ties toward the higher row id) is
+/// the last one and the eviction candidate (lowest count, ties toward
+/// the lower row id) the first, so the per-ACT `max_count` check and
+/// `peek_max`/`pop_max` are O(1), and an offer costs one row scan plus
+/// a short bubble to restore the order.
+///
 /// ```
 /// use qprac::Psq;
 /// use dram_core::RowId;
@@ -59,6 +66,7 @@ pub enum OfferOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Psq {
+    /// Sorted by `(count, row)`, ascending.
     entries: Vec<PsqEntry>,
     capacity: usize,
 }
@@ -112,22 +120,25 @@ impl Psq {
         if count == 0 {
             return OfferOutcome::Rejected;
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.row == row) {
-            e.count = count;
+        let entry = PsqEntry { row, count };
+        if let Some(idx) = self.entries.iter().position(|e| e.row == row) {
+            self.entries[idx].count = count;
+            self.reorder(idx);
             return OfferOutcome::Hit;
         }
         if self.entries.len() < self.capacity {
-            self.entries.push(PsqEntry { row, count });
+            self.entries.push(entry);
+            self.reorder(self.entries.len() - 1);
             return OfferOutcome::Inserted;
         }
         // Full: replace the minimum only if strictly exceeded (paper:
         // "inserts only rows with activation counts higher than the
         // lowest count in the queue").
-        let (min_idx, min_count) = self.min_entry();
-        if count > min_count {
-            let evicted = self.entries[min_idx];
-            self.entries[min_idx] = PsqEntry { row, count };
-            OfferOutcome::Evicted(evicted)
+        let min = self.entries[0];
+        if count > min.count {
+            self.entries[0] = entry;
+            self.reorder(0);
+            OfferOutcome::Evicted(min)
         } else {
             OfferOutcome::Rejected
         }
@@ -136,38 +147,29 @@ impl Psq {
     /// The entry with the highest count (ties broken toward the higher
     /// row id for determinism), without removing it.
     pub fn peek_max(&self) -> Option<PsqEntry> {
-        self.entries
-            .iter()
-            .copied()
-            .max_by_key(|e| (e.count, e.row))
+        self.entries.last().copied()
     }
 
     /// Remove and return the entry with the highest count.
     pub fn pop_max(&mut self) -> Option<PsqEntry> {
-        let best = self
-            .entries
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| (e.count, e.row))
-            .map(|(i, _)| i)?;
-        Some(self.entries.swap_remove(best))
+        self.entries.pop()
     }
 
     /// Remove `row` if tracked (used when the host mitigates a row via a
     /// path the queue did not nominate).
     pub fn remove(&mut self, row: RowId) -> Option<PsqEntry> {
         let idx = self.entries.iter().position(|e| e.row == row)?;
-        Some(self.entries.swap_remove(idx))
+        Some(self.entries.remove(idx))
     }
 
     /// Highest count currently tracked (0 when empty).
     pub fn max_count(&self) -> u32 {
-        self.entries.iter().map(|e| e.count).max().unwrap_or(0)
+        self.entries.last().map_or(0, |e| e.count)
     }
 
     /// Lowest count currently tracked (0 when empty).
     pub fn min_count(&self) -> u32 {
-        self.entries.iter().map(|e| e.count).min().unwrap_or(0)
+        self.entries.first().map_or(0, |e| e.count)
     }
 
     /// Iterate over entries in unspecified order.
@@ -175,13 +177,24 @@ impl Psq {
         self.entries.iter()
     }
 
-    fn min_entry(&self) -> (usize, u32) {
-        self.entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.count, e.row))
-            .map(|(i, e)| (i, e.count))
-            .expect("min_entry on empty queue")
+    /// Move the entry at `idx`, whose count just changed, back into
+    /// `(count, row)` order by shifting its neighbors over it. Rows are
+    /// unique, so the keys never tie.
+    fn reorder(&mut self, idx: usize) {
+        let e = self.entries[idx];
+        let key = |e: &PsqEntry| (e.count, e.row);
+        let mut i = idx;
+        while i + 1 < self.entries.len() && key(&self.entries[i + 1]) < key(&e) {
+            self.entries[i] = self.entries[i + 1];
+            i += 1;
+        }
+        if i == idx {
+            while i > 0 && key(&e) < key(&self.entries[i - 1]) {
+                self.entries[i] = self.entries[i - 1];
+                i -= 1;
+            }
+        }
+        self.entries[i] = e;
     }
 }
 
@@ -371,7 +384,7 @@ mod tests {
 
     #[test]
     fn eviction_tie_on_equal_min_counts_removes_lowest_row_id() {
-        // Two entries tie for the minimum; min_entry breaks the tie
+        // Two entries tie for the minimum; the (count, row) order breaks the tie
         // toward the lower row id, so that entry is the one evicted.
         let mut q = Psq::new(3);
         q.offer(RowId(7), 5);
@@ -503,6 +516,35 @@ mod proptests {
             prop_assert_eq!(q.len(), truth.len());
             for e in q.iter() {
                 prop_assert_eq!(truth[&e.row.0], e.count);
+            }
+        }
+
+        /// Under any mix of offers (counts may also fall), pops and
+        /// removes, the entries stay sorted by `(count, row)` and the
+        /// O(1) reads agree with a full scan.
+        #[test]
+        fn entries_stay_ordered(
+            ops in proptest::collection::vec((0u8..4, 0u32..8, 0u32..32), 1..200),
+        ) {
+            let mut q = Psq::new(4);
+            for (op, row, count) in ops {
+                match op {
+                    0 | 1 => {
+                        q.offer(RowId(row), count);
+                    }
+                    2 => {
+                        q.pop_max();
+                    }
+                    _ => {
+                        q.remove(RowId(row));
+                    }
+                }
+                let keys: Vec<_> = q.iter().map(|e| (e.count, e.row)).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+                let scan = q.iter().copied().max_by_key(|e| (e.count, e.row));
+                prop_assert_eq!(q.peek_max(), scan);
+                prop_assert_eq!(q.max_count(), scan.map_or(0, |e| e.count));
+                prop_assert_eq!(q.min_count(), q.iter().map(|e| e.count).min().unwrap_or(0));
             }
         }
 

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 /// Literal transcription of the Fig 5 policy over a vector kept sorted
 /// by `(count, row)`: hit-update in place, insert into free slots,
 /// otherwise evict the smallest entry iff the newcomer strictly beats
-/// it (ties broken toward the lower row id, matching `Psq::min_entry`).
+/// it (ties broken toward the lower row id, as in the PSQ's own order).
 struct Oracle {
     capacity: usize,
     entries: Vec<(u32, u32)>, // (count, row), kept sorted ascending

@@ -18,11 +18,15 @@
 //! bench runner uses, so `QPRAC_REMOTE=host:port qprac-client metrics`
 //! inspects exactly the server a sweep talks to. One counter is one
 //! line of that text: `qprac-client metrics | grep '^qprac_simulated_total '`.
+//!
+//! Every connect, read and write is bounded by `QPRAC_REMOTE_TIMEOUT_MS`
+//! (the runner's knob, 30 s by default), so a shard that accepts and
+//! never answers makes the client exit nonzero instead of hanging.
 
 use std::io::BufRead;
 use std::process::ExitCode;
 
-use qprac_serve::{Client, DEFAULT_ADDR};
+use qprac_serve::{timeout_from_env, Client, DEFAULT_ADDR};
 
 fn usage() -> ExitCode {
     eprintln!("usage: qprac-client [--addr host:port] <ping|metrics|shutdown|run <key>|batch>");
@@ -49,7 +53,7 @@ fn main() -> ExitCode {
     let Some(command) = args.first().cloned() else {
         return usage();
     };
-    let mut client = match Client::connect(addr.as_str()) {
+    let mut client = match Client::connect_timeout(addr.as_str(), timeout_from_env()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("qprac-client: cannot connect to {addr}: {e}");

@@ -1,11 +1,14 @@
 //! Entry-capped LRU for the server's in-memory tier.
 //!
-//! Keys are canonical run-key strings, values are `Arc`-shared results;
-//! a recency tick is bumped on every hit and insert, and eviction
+//! The server keys it by canonical run-key text and stores each cell's
+//! encoded [`sim::codec`] payload, `Arc`-shared, so a hit is probed with
+//! the request's raw key text and served as a copy of those bytes. A
+//! recency tick is bumped on every hit and insert, and eviction
 //! removes the minimum-tick entry. The eviction scan is O(n), which is
 //! the right trade at the server's scale (thousands of entries, each
 //! guarding a multi-second simulation) — no intrusive list, no unsafe.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -28,8 +31,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Look `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    /// Look `key` up (by any borrowed form of `K`, e.g. `&str` for
+    /// `String` keys), refreshing its recency on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|(t, v)| {
@@ -95,6 +103,14 @@ mod tests {
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.get(&"a"), Some(10));
         assert_eq!(lru.get(&"b"), Some(2));
+    }
+
+    #[test]
+    fn owned_keys_are_probed_by_borrowed_text() {
+        let mut lru: LruCache<String, u32> = LruCache::new(2);
+        lru.insert("workload:a".to_string(), 1);
+        assert_eq!(lru.get("workload:a"), Some(1));
+        assert_eq!(lru.get("workload:a "), None, "byte-equal text only");
     }
 
     #[test]

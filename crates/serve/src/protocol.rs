@@ -133,15 +133,20 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
         Response::Ok(payload) => {
             write!(w, "OK text {}\n{payload}", payload.len())?;
         }
-        Response::OkBin(frame) => {
-            writeln!(w, "OKB {}", frame.len())?;
-            w.write_all(frame)?;
-        }
+        Response::OkBin(frame) => write_okb(w, frame)?,
         Response::Err(msg) => {
             write!(w, "ERR {}\n{msg}", msg.len())?;
         }
     }
     w.flush()
+}
+
+/// Write one `OKB` frame around a borrowed [`sim::codec`] payload
+/// without flushing — how the server copies a cached payload straight
+/// into a connection's write buffer.
+pub fn write_okb(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    writeln!(w, "OKB {}", payload.len())?;
+    w.write_all(payload)
 }
 
 /// Read one framed response (status line + exact payload bytes).

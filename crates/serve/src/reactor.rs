@@ -13,11 +13,14 @@
 //!
 //! - control verbs (`PING`/`METRICS`/`SHUTDOWN`) are answered inline
 //!   on the reactor thread;
-//! - `RUNB` keys are parsed inline too. A malformed key (`ERR`) and a
-//!   memory-tier hit (`OKB`) are answered on the spot, so a warm
-//!   request never leaves the reactor thread;
-//! - only a memory miss goes to the dispatch pool, which drives the
-//!   rest of the [`resolve`] path (disk → single-flight simulation)
+//! - a `RUNB` first probes the memory tier with its raw key text. Only
+//!   parsed, hence canonical, keys are ever inserted, so a byte-equal
+//!   hit is well-formed: its cached payload is copied into the write
+//!   buffer (`OKB`) with no parse and no encode, and a warm request
+//!   never leaves the reactor thread;
+//! - a miss is parsed inline; a malformed key (`ERR`) is answered on
+//!   the spot, and a well-formed one goes to the dispatch pool, which
+//!   drives the [`resolve`] path (memory → disk → single-flight simulation)
 //!   and posts the response back through a [`WakePipe`]. The pool's
 //!   fixed size is the one bound on concurrent simulations; jobs it has
 //!   not taken yet wait in its queue, counted by the `queue_depth`
@@ -33,9 +36,11 @@
 //! TCP backpressure, never unbounded server memory.
 //!
 //! Armed chaos ([`Chaos`]) injects its faults here too: `drop` hangs up
-//! at accept; `delay` is drawn here for every well-formed `RUNB`, and a
-//! request it picks — warm or not — goes to the dispatch pool and
-//! stalls a worker there (never the reactor thread) before it resolves;
+//! at accept; `delay` is drawn here exactly once for every well-formed
+//! `RUNB` — for a raw memory hit right after the probe, for a miss once
+//! its key parses — and a request it picks, warm or not, is parsed and
+//! goes to the dispatch pool, where it stalls a worker (never the
+//! reactor thread) before it resolves;
 //! `trunc` halves a response frame and closes the connection once that
 //! half is flushed; and `kill` panics inside [`resolve`], which the
 //! dispatch worker's `catch_unwind` turns into a retryable `ERR`.
@@ -52,12 +57,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sim::{CellResult, CellSpec, RunKey};
+use sim::{CellSpec, RunKey};
 
 use crate::chaos::Chaos;
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use crate::protocol::{parse_request, write_response, Request, Response, MAX_LINE};
-use crate::server::{control_payload, memory_hit, parse_key, resolve, Inner, REPLY_BACKLOG_CAP};
+use crate::protocol::{parse_request, write_okb, write_response, Request, Response, MAX_LINE};
+use crate::server::{control_payload, parse_key, resolve, Inner, Payload, REPLY_BACKLOG_CAP};
 
 /// Read-buffer soft cap per connection: past this the reactor stops
 /// reading (TCP backpressure) until the backlog drains, so a peer that
@@ -80,7 +85,7 @@ struct DispatchJob {
 struct DispatchDone {
     slot: usize,
     gen: u64,
-    response: Response,
+    outcome: Result<Payload, String>,
 }
 
 /// Reactor ↔ dispatch-pool plumbing.
@@ -127,30 +132,30 @@ fn dispatch_worker(inner: &Inner, shared: &DispatchShared) {
         // unexpected, so a worker never dies and strands the reactor.
         let outcome = catch_unwind(AssertUnwindSafe(|| resolve(inner, &job.spec, job.key)))
             .unwrap_or_else(|_| Err("simulation worker panicked".into()));
-        let response = runb_reply(inner, outcome, job.t0);
+        let outcome = answered(inner, outcome, job.t0);
         shared.done.lock().unwrap().push(DispatchDone {
             slot: job.slot,
             gen: job.gen,
-            response,
+            outcome,
         });
         shared.wake.wake();
     }
 }
 
 /// Count and time one answered `RUNB` — inline or from the pool, the
-/// same way — and frame its reply.
-fn runb_reply(inner: &Inner, outcome: Result<Arc<CellResult>, String>, t0: Instant) -> Response {
+/// same way — and pass its outcome on to be framed.
+fn answered(
+    inner: &Inner,
+    outcome: Result<Payload, String>,
+    t0: Instant,
+) -> Result<Payload, String> {
     let m = &inner.metrics;
-    let response = match outcome {
-        Ok(result) => Response::OkBin(sim::codec::encode_cell(&result)),
-        Err(reason) => {
-            m.errors.inc();
-            Response::Err(reason)
-        }
-    };
+    if outcome.is_err() {
+        m.errors.inc();
+    }
     m.run_requests.inc();
     m.lat_runb.record(t0.elapsed());
-    response
+    outcome
 }
 
 /// One connection's state machine.
@@ -195,9 +200,22 @@ impl Conn {
     }
 
     fn push_response(&mut self, response: &Response, inner: &Inner) {
+        self.push_frame(inner, |w| write_response(w, response));
+    }
+
+    /// Frame a `RUNB` outcome: the payload is copied straight from the
+    /// memory tier's bytes into the write buffer.
+    fn push_runb(&mut self, outcome: Result<Payload, String>, inner: &Inner) {
+        match outcome {
+            Ok(payload) => self.push_frame(inner, |w| write_okb(w, &payload)),
+            Err(reason) => self.push_response(&Response::Err(reason), inner),
+        }
+    }
+
+    fn push_frame(&mut self, inner: &Inner, frame: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) {
         let start = self.wbuf.len();
         // Writing into a Vec cannot fail.
-        write_response(&mut self.wbuf, response).expect("vec write");
+        frame(&mut self.wbuf).expect("vec write");
         if inner.chaos.as_ref().is_some_and(Chaos::truncate_write) {
             self.wbuf.truncate(start + (self.wbuf.len() - start) / 2);
             self.cut = true;
@@ -388,7 +406,7 @@ impl Reactor {
         self.jobs_in_flight -= 1;
         let stale = match self.conns[done.slot].as_mut() {
             Some(c) if c.gen == done.gen => {
-                c.push_response(&done.response, &self.inner);
+                c.push_runb(done.outcome, &self.inner);
                 c.busy = false;
                 false
             }
@@ -492,28 +510,36 @@ impl Reactor {
         keep
     }
 
-    /// One `RUNB`: answered inline when the key is malformed or the
-    /// memory tier holds it, else handed to the dispatch pool, which
-    /// leaves the connection busy until the reply is back.
+    /// One `RUNB`: answered inline when the memory tier holds its raw
+    /// key text or the key is malformed, else handed to the dispatch
+    /// pool, which leaves the connection busy until the reply is back.
     fn run_bin(&mut self, c: &mut Conn, slot: usize, key_text: &str, t0: Instant) {
         let inner = &*self.inner;
+        let draw_delay = || inner.chaos.as_ref().and_then(Chaos::delay);
+        // Only parsed keys enter the tier, so a raw hit is well-formed
+        // and takes its one delay draw here. A delayed request stalls a
+        // pool worker, never this thread, so it takes the pool path
+        // even when it is warm.
+        let warm = inner.lru().get(key_text);
+        let mut drawn = None;
+        if let Some(payload) = warm {
+            let delay = draw_delay();
+            if delay.is_none() {
+                inner.metrics.mem_hits.inc();
+                return c.push_runb(answered(inner, Ok(payload), t0), inner);
+            }
+            drawn = Some(delay);
+        }
         // A parser bug must not take the serve loop down with it: a
         // panic becomes the same retryable ERR a panicked worker sends.
         let parsed = catch_unwind(AssertUnwindSafe(|| parse_key(inner, key_text)))
             .unwrap_or_else(|_| Err("key parser panicked".into()));
         let spec = match parsed {
             Ok(spec) => spec,
-            Err(reason) => return c.push_response(&runb_reply(inner, Err(reason), t0), inner),
+            Err(reason) => return c.push_runb(answered(inner, Err(reason), t0), inner),
         };
+        let delay = drawn.unwrap_or_else(draw_delay);
         let key = spec.key();
-        // A delayed request stalls a pool worker, never this thread,
-        // so it takes the pool path even when it is warm.
-        let delay = inner.chaos.as_ref().and_then(Chaos::delay);
-        if delay.is_none() {
-            if let Some(hit) = memory_hit(inner, &key) {
-                return c.push_response(&runb_reply(inner, Ok(hit), t0), inner);
-            }
-        }
         c.busy = true;
         self.jobs_in_flight += 1;
         // Counted before the push, so the worker's decrement on taking

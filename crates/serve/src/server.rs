@@ -3,7 +3,9 @@
 //!
 //! Every `RUNB <key>` request walks a three-tier path:
 //!
-//! 1. **Memory** — an entry-capped LRU of `Arc`-shared results;
+//! 1. **Memory** — an entry-capped LRU, keyed by canonical key text,
+//!    of each cell's encoded [`sim::codec`] payload (the bytes an `OKB`
+//!    frame carries), encoded once as the result enters the tier;
 //! 2. **Disk** — the persistent [`sim::RunCache`] (same files, same
 //!    format as the bench runner's `QPRAC_RUN_CACHE`, so a warm bench
 //!    cache can seed a server and vice versa);
@@ -12,11 +14,13 @@
 //!    single-flight coalescing so N concurrent requests for the same
 //!    key trigger exactly one run.
 //!
-//! The reactor thread parses each key and probes the memory tier
-//! itself, so a malformed key (`ERR`) or a memory hit (`OKB`) is
-//! answered without a thread handoff; only disk lookups and
-//! simulations go to the dispatch pool. Both paths count and time a
-//! request the same way.
+//! The reactor thread probes the memory tier with the request's raw key
+//! text before parsing it: only keys that parsed, and were therefore
+//! canonical, are ever inserted, so a byte-equal hit is a well-formed
+//! key and is answered (`OKB`) with one lookup and one copy. A miss is
+//! parsed, and a malformed key answered (`ERR`), on the same thread;
+//! only disk lookups and simulations go to the dispatch pool. Both
+//! paths count and time a request the same way.
 //!
 //! One serve loop runs everything: a poll-readiness core, one event
 //! loop plus a fixed dispatch pool, so thousands of idle connections
@@ -116,6 +120,10 @@ impl Default for ServerConfig {
     }
 }
 
+/// One cell's encoded [`sim::codec`] payload, as the memory tier holds
+/// it and an `OKB` frame carries it.
+pub(crate) type Payload = Arc<[u8]>;
+
 /// Verbs with a latency histogram (`qprac_lat_<verb>_us`).
 pub const VERBS: [&str; 3] = ["runb", "ping", "metrics"];
 
@@ -199,9 +207,9 @@ pub struct Server {
 }
 
 pub(crate) struct Inner {
-    lru: Mutex<LruCache<RunKey, Arc<CellResult>>>,
+    lru: Mutex<LruCache<String, Payload>>,
     disk: RunCache,
-    flights: Group<RunKey, Result<Arc<CellResult>, String>>,
+    flights: Group<RunKey, Result<Payload, String>>,
     pub(crate) worker_count: usize,
     stores: AtomicU64,
     pub(crate) chaos: Option<Chaos>,
@@ -218,8 +226,16 @@ impl Inner {
     /// update, so a poisoned lock still guards a consistent cache: the
     /// poison is ignored rather than allowed to take the reactor thread
     /// down.
-    pub(crate) fn lru(&self) -> MutexGuard<'_, LruCache<RunKey, Arc<CellResult>>> {
+    pub(crate) fn lru(&self) -> MutexGuard<'_, LruCache<String, Payload>> {
         self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Encode `result` as it enters the memory tier under `key`: the one
+    /// encoding every later hit on that key serves.
+    fn admit(&self, key: &RunKey, result: &CellResult) -> Payload {
+        let payload: Payload = sim::codec::encode_cell(result).into();
+        self.lru().insert(key.as_str().into(), Arc::clone(&payload));
+        payload
     }
 }
 
@@ -354,9 +370,9 @@ pub(crate) fn parse_key(inner: &Inner, key_text: &str) -> Result<CellSpec, Strin
     })
 }
 
-/// The memory tier alone: what the reactor answers inline.
-pub(crate) fn memory_hit(inner: &Inner, key: &RunKey) -> Option<Arc<CellResult>> {
-    let hit = inner.lru().get(key)?;
+/// The memory tier alone, counted as a hit when it holds `key_text`.
+fn memory_hit(inner: &Inner, key_text: &str) -> Option<Payload> {
+    let hit = inner.lru().get(key_text)?;
     inner.metrics.mem_hits.inc();
     Some(hit)
 }
@@ -364,34 +380,28 @@ pub(crate) fn memory_hit(inner: &Inner, key: &RunKey) -> Option<Arc<CellResult>>
 /// The full three-tier resolve of a parsed cell and its key: memory,
 /// disk, then single-flight simulate. Runs on the reactor's dispatch
 /// pool.
-pub(crate) fn resolve(
-    inner: &Inner,
-    spec: &CellSpec,
-    key: RunKey,
-) -> Result<Arc<CellResult>, String> {
+pub(crate) fn resolve(inner: &Inner, spec: &CellSpec, key: RunKey) -> Result<Payload, String> {
     let m = &inner.metrics;
     let _active = ActiveGuard::enter(&m.active);
     // The reactor missed the memory tier, but a flight may have
-    // published since (and a delayed request never looked).
-    if let Some(hit) = memory_hit(inner, &key) {
+    // published since (and a delayed request was not served from it).
+    if let Some(hit) = memory_hit(inner, key.as_str()) {
         return Ok(hit);
     }
     if let Some(hit) = inner.disk.load(&key) {
         m.disk_hits.inc();
-        let hit = Arc::new(hit);
-        inner.lru().insert(key, Arc::clone(&hit));
-        return Ok(hit);
+        return Ok(inner.admit(&key, &hit));
     }
     let (result, led) = inner.flights.run(&key, || {
         // Re-check the caches inside the flight: a previous flight for
         // this key may have published between our miss above and this
         // registration (the group only collapses concurrent work).
-        if let Some(hit) = memory_hit(inner, &key) {
+        if let Some(hit) = memory_hit(inner, key.as_str()) {
             return Ok(hit);
         }
         if let Some(hit) = inner.disk.load(&key) {
             m.disk_hits.inc();
-            return Ok(Arc::new(hit));
+            return Ok(inner.admit(&key, &hit));
         }
         if let Some(chaos) = &inner.chaos {
             // The leader-death fault: panic OUTSIDE the catch_unwind
@@ -409,8 +419,7 @@ pub(crate) fn resolve(
             format!("simulation panicked: {msg}")
         })?;
         m.simulated.inc();
-        let result = Arc::new(outcome);
-        if let Err(e) = inner.disk.store(&key, &result) {
+        if let Err(e) = inner.disk.store(&key, &outcome) {
             // Counted by the cache (`qprac_store_errors_total`); the result
             // itself still flows to the caller and the memory tier.
             qprac_obs::warn!("qprac-serve: disk-cache store failed: {e}");
@@ -422,8 +431,7 @@ pub(crate) fn resolve(
         {
             inner.disk.gc();
         }
-        inner.lru().insert(key.clone(), Arc::clone(&result));
-        Ok(result)
+        Ok(inner.admit(&key, &outcome))
     });
     if !led {
         m.coalesced.inc();

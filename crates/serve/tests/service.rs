@@ -405,6 +405,46 @@ fn hung_server_times_out_instead_of_stalling() {
     );
 }
 
+/// The `qprac-client` binary against a listener that accepts and never
+/// answers: `QPRAC_REMOTE_TIMEOUT_MS` bounds its connect, read and
+/// write, so it exits nonzero within a few seconds instead of hanging.
+#[test]
+fn client_cli_exits_nonzero_on_a_silent_shard() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for conn in listener.incoming() {
+            held.push(conn);
+        }
+    });
+    let t0 = Instant::now();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_qprac-client"))
+        .args(["--addr", &addr.to_string(), "ping"])
+        .env("QPRAC_REMOTE_TIMEOUT_MS", "300")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn qprac-client");
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if t0.elapsed() > Duration::from_secs(10) {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("qprac-client still hung after {:?}", t0.elapsed());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(!status.success(), "a silent shard must fail the command");
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "the deadline must bound the stall (took {:?})",
+        t0.elapsed()
+    );
+}
+
 /// The server's registry as one `METRICS` scrape.
 fn scrape(client: &mut Client) -> Snapshot {
     Snapshot::parse_prometheus(&client.metrics().unwrap()).expect("valid exposition")
@@ -526,4 +566,149 @@ fn reply_backlog_stays_capped_for_a_peer_that_never_reads() {
     }
     sender.join().unwrap();
     assert_eq!(scrape(&mut control).gauge("qprac_reply_backlog_bytes"), 0);
+}
+
+/// Send one raw `RUNB` line and read its frame, so a test sees the exact
+/// payload bytes the server wrote.
+fn runb_frame(addr: SocketAddr, key_text: &str) -> Response {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    writeln!(raw, "RUNB {key_text}").unwrap();
+    read_response(&mut BufReader::new(raw)).unwrap()
+}
+
+/// `key` with its first two config fields swapped: the same cell, but
+/// not its canonical spelling.
+fn respelled(key: &RunKey) -> String {
+    let mut fields: Vec<&str> = key.as_str().split(';').collect();
+    fields.swap(1, 2);
+    fields.join(";")
+}
+
+/// The memory tier serves the bytes it encoded once on admission: a
+/// warm hit's payload equals the cold reply, a disk-tier reply and the
+/// encoding of the disk tier's own result.
+#[test]
+fn warm_hits_serve_the_cold_reply_bytes() {
+    let dir = std::env::temp_dir().join(format!("qprac-serve-test-payload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let key = small_key(450);
+    let disk = || ServerConfig {
+        disk: RunCache::at(&dir),
+        ..ServerConfig::default()
+    };
+    let addr_a = spawn_server(disk());
+    let cold = runb_frame(addr_a, key.as_str());
+    let warm = runb_frame(addr_a, key.as_str());
+    let stored = encode_cell(&RunCache::at(&dir).load(&key).expect("stored on disk"));
+    assert_eq!(cold, Response::OkBin(stored.clone()));
+    assert_eq!(warm, cold, "a warm hit is byte-identical to the cold reply");
+    let mut client = Client::connect(addr_a).unwrap();
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 1);
+
+    // A second shard on the same disk admits the result from there.
+    let addr_b = spawn_server(disk());
+    assert_eq!(runb_frame(addr_b, key.as_str()), cold, "disk-tier reply");
+    assert_eq!(runb_frame(addr_b, key.as_str()), cold, "its warm hit");
+    let mut client_b = Client::connect(addr_b).unwrap();
+    assert_eq!(client_b.stat("qprac_disk_hits_total").unwrap(), 1);
+    assert_eq!(client_b.stat("qprac_mem_hits_total").unwrap(), 1);
+    assert_eq!(client_b.stat("qprac_simulated_total").unwrap(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The raw-text probe only matches canonical spellings: a re-spelling
+/// of a cached key misses it, fails to parse and is an `ERR`, counted
+/// as an error and never as a memory hit.
+#[test]
+fn non_canonical_respelling_of_a_cached_key_is_an_err() {
+    let addr = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let key = small_key(460);
+    client.run(&key).unwrap();
+    client.run(&key).unwrap();
+    let before = scrape(&mut client);
+    let err = client.run_key_text(&respelled(&key)).unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "{err}");
+    assert!(err.to_string().contains("expected field"), "{err}");
+    let after = scrape(&mut client);
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("qprac_errors_total"), 1);
+    assert_eq!(delta("qprac_mem_hits_total"), 0);
+    assert_eq!(delta("qprac_run_requests_total"), 1);
+}
+
+/// Keys that fail to parse never enter the memory tier: sent again,
+/// each is parsed and refused again, with its counters moving again.
+#[test]
+fn rejected_keys_never_enter_the_memory_tier() {
+    let addr = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let unknown = small_key(100)
+        .as_str()
+        .replace("mit=qprac;", "mit=hydra-prac;");
+    for round in 1..=2 {
+        for bad in ["workload:missing-config", unknown.as_str()] {
+            assert!(
+                matches!(client.run_key_text(bad), Err(ClientError::Server(_))),
+                "{bad}"
+            );
+        }
+        assert_eq!(client.stat("qprac_errors_total").unwrap(), 2 * round);
+        assert_eq!(
+            client.stat("qprac_unknown_mitigation_total").unwrap(),
+            round
+        );
+        assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 0);
+    }
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 0);
+}
+
+/// With every `RUNB` delayed, warm requests still take one delay draw
+/// each, before they are answered: none is served from the raw probe
+/// inline, and a malformed key draws nothing.
+#[test]
+fn armed_delay_stalls_every_warm_runb_once() {
+    let addr = spawn_server(ServerConfig {
+        chaos: Some(ChaosSpec::parse("7:delay=1/20").unwrap()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let key = small_key(470);
+    let first = client.run(&key).unwrap();
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        assert_eq!(client.run(&key).unwrap(), first);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(15),
+            "a warm RUNB escaped the armed delay"
+        );
+    }
+    assert!(client.run_key_text("workload:missing-config").is_err());
+    assert_eq!(client.stat("qprac_chaos_delayed_total").unwrap(), 4);
+    // The delayed warm requests are still memory hits, counted on the pool.
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 3);
+    assert_eq!(client.stat("qprac_run_requests_total").unwrap(), 5);
+}
+
+/// The memory tier stays capped at `lru_entries`: past the cap the
+/// least recently used key is evicted, and asking for it again misses
+/// (and, with no disk tier, simulates again).
+#[test]
+fn memory_tier_entry_cap_still_evicts() {
+    let addr = spawn_server(ServerConfig {
+        lru_entries: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let (a, b, c) = (small_key(480), small_key(481), small_key(482));
+    for key in [&a, &b, &c] {
+        client.run(key).unwrap();
+    }
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 3);
+    // `a` was evicted by `c`; `c` is still held.
+    client.run(&a).unwrap();
+    assert_eq!(client.stat("qprac_simulated_total").unwrap(), 4);
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 0);
+    client.run(&a).unwrap();
+    assert_eq!(client.stat("qprac_mem_hits_total").unwrap(), 1);
 }
